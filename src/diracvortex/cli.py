@@ -7,7 +7,9 @@ significant digits, stable column order) and maps failures to exit codes:
 """
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,22 +55,26 @@ def _write_csv(meta, columns, rows, stream):
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_json(meta, columns, rows, stream):
-    payload = {"meta": meta, "columns": list(columns), "rows": [list(r) for r in rows]}
-    json.dump(payload, stream, indent=2, default=_fmt)
-    stream.write("\n")
+def _write_json(payload, stream):
+    """Strict JSON: a non-finite meta value (no magnetic length at B = 0) is null."""
+    meta = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in payload["meta"].items()}
+    stream.write(json.dumps({**payload, "meta": meta}, indent=2, default=_fmt,
+                            allow_nan=False) + "\n")
+
+
+def _output(out):
+    """The file named by --out, or stdout (left open)."""
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit(meta, columns, rows, fmt, out):
-    stream = open(out, "w") if out else sys.stdout
-    try:
+    with _output(out) as stream:
         if fmt == "csv":
             _write_csv(meta, columns, rows, stream)
         else:
-            _write_json(meta, columns, rows, stream)
-    finally:
-        if out:
-            stream.close()
+            _write_json({"meta": meta, "columns": list(columns),
+                         "rows": [list(r) for r in rows]}, stream)
 
 
 def _beam(args) -> BeamParameters:
@@ -169,18 +175,8 @@ def run_table(args) -> int:
            obs.gauge_covariant_jz(qn, bp, drop_spin_orbit=True),
            mz, rho.prob_up, rho.prob_down]
     if args.check:
-        checks = [
-            ("err_int_j0", obs.integrated_density(qn, bp),
-             obs.integrated_density_quadrature(qn, bp)),
-            ("err_int_jz", obs.integrated_jz(qn, bp), obs.integrated_jz_quadrature(qn, bp)),
-            ("err_r2_moment", obs.r2_moment(qn, bp), obs.r2_moment_quadrature(qn, bp)),
-            ("err_jz_gauge", obs.gauge_covariant_jz(qn, bp),
-             obs.gauge_covariant_jz_quadrature(qn, bp)),
-        ]
-        if bp.beB > 0:
-            checks.append(("err_mz", mz, obs.magnetic_moment_quadrature(qn, bp)))
-        for name, closed, quad in checks:
-            columns.append(name)
+        for name, closed, quad in obs.closed_and_quadrature(qn, bp):
+            columns.append(f"err_{name}")
             row.append(abs(closed - quad) / max(1.0, abs(closed)))
     _emit(_common_meta(args, qn, bp), columns, [row], args.format, args.out)
     return 0
@@ -195,14 +191,8 @@ def run_verify(args) -> int:
         rows = [(c.name, c.residual, c.tolerance, c.passed) for c in checks]
         _emit(meta, columns, rows, "csv", args.out)
     else:
-        payload = {"meta": meta, "checks": [c.as_dict() for c in checks]}
-        stream = open(args.out, "w") if args.out else sys.stdout
-        try:
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        finally:
-            if args.out:
-                stream.close()
+        with _output(args.out) as stream:
+            _write_json({"meta": meta, "checks": [c.as_dict() for c in checks]}, stream)
     failed = [c for c in checks if not c.passed]
     for c in failed:
         print(f"FAIL {c.name}: residual {c.residual:.3e} > tolerance {c.tolerance:.1e}",
@@ -283,6 +273,9 @@ def main(argv=None) -> int:
 
 
 def _validate(args):
+    for name in ("B", "k_over_m", "m_kev", "rmax"):
+        if not math.isfinite(getattr(args, name, 0.0)):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite")
     if getattr(args, "samples", 2) < 2:
         raise ValueError("samples must be >= 2")
     if getattr(args, "rmax", 1.0) <= 0.0:

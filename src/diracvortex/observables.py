@@ -64,18 +64,12 @@ class RadialProfile:
 def _jphi_factors(qn: QuantumNumbers):
     """(prefactor, radial power, Laguerre index pair) of the azimuthal current.
 
-    jphi = prefactor * r^power * e^{-r^2} * L_p^l(r^2) * L_{p2}^{l2}(r^2)
-           * (E + m) * sqrt(beB)
+    jphi = prefactor * r^power * e^{-r^2} * L_p^l(r^2) * L_{p'}^{l'}(r^2)
+           * (E + m) * sqrt(beB), the cross term of the main column with the
+    mixing column; it vanishes identically when p' = -1 (ground family).
     """
-    l, p = qn.l, qn.p
-    fam = qn.family
-    if fam == (1, 1):
-        return 2.0 * math.sqrt(2.0), 2 * l + 1, (p, l + 1)
-    if fam == (-1, 1):
-        return 2.0 * math.sqrt(2.0) * (p + l), 2 * l - 1, (p, l - 1)
-    if fam == (1, -1):
-        return -2.0 * math.sqrt(2.0) * (p + 1), 2 * l - 1, (p + 1, l - 1)
-    return -2.0 * math.sqrt(2.0), 2 * l + 1, (p - 1, l + 1)
+    amplitude, l2, p2 = qn.spin_orbit_mixing
+    return 2.0 * math.sqrt(2.0) * qn.spin_sign * amplitude, qn.l + l2, (p2, l2)
 
 
 def current_profile(qn: QuantumNumbers, bp: BeamParameters, r):
@@ -159,6 +153,12 @@ def spin_texture(qn: QuantumNumbers, bp: BeamParameters, r: float) -> SpinTextur
     return SpinTextureSample(float(r), 0.0, float(s_phi), s_z)
 
 
+def _delta(qn: QuantumNumbers, bp: BeamParameters) -> float:
+    """Spin-orbit weight (landau_sq + zeeman_sq) / (2E(E+m))."""
+    dec = energy(qn, bp)
+    return dec.interaction_sq / (2.0 * dec.total * (dec.total + bp.m))
+
+
 def reduced_spin_state(qn: QuantumNumbers, bp: BeamParameters) -> ReducedSpinState:
     """Spin density matrix after tracing out the spatial profile (z-basis diagonal).
 
@@ -167,8 +167,7 @@ def reduced_spin_state(qn: QuantumNumbers, bp: BeamParameters) -> ReducedSpinSta
     two add to one exactly, and the state is pure only when the interaction
     energy vanishes (ground family at p = 0).
     """
-    dec = energy(qn, bp)
-    minority = dec.interaction_sq / (2.0 * dec.total * (dec.total + bp.m))
+    minority = _delta(qn, bp)
     majority = 1.0 - minority
     if qn.spin_sign > 0:
         return ReducedSpinState(prob_up=majority, prob_down=minority)
@@ -178,11 +177,6 @@ def reduced_spin_state(qn: QuantumNumbers, bp: BeamParameters) -> ReducedSpinSta
 def canonical_jz(qn: QuantumNumbers) -> float:
     """Half-integer eigenvalue of -i d/dphi + Sigma_z/2."""
     return qn.canonical_jz
-
-
-def _delta(qn: QuantumNumbers, bp: BeamParameters) -> float:
-    dec = energy(qn, bp)
-    return dec.interaction_sq / (2.0 * dec.total * (dec.total + bp.m))
 
 
 def gauge_covariant_jz(qn: QuantumNumbers, bp: BeamParameters,
@@ -245,7 +239,7 @@ def sign_change_radii(qn: QuantumNumbers):
     p + (p-1) when p >= 1 and none at p = 0 where jphi vanishes identically.
     """
     _, _, (p2, l2) = _jphi_factors(qn)
-    if qn.family == (-1, -1) and qn.p == 0:
+    if p2 < 0:
         return []
     roots = positive_roots(qn.p, qn.l) + positive_roots(p2, l2)
     return sorted(math.sqrt(x) for x in roots)
@@ -259,7 +253,7 @@ def counterflow_rings(qn: QuantumNumbers, bp: BeamParameters):
     returned as (r_lo, r_hi).  Empty when jphi vanishes identically (ground
     family p = 0, or beB = 0).
     """
-    if bp.beB == 0.0 or (qn.family == (-1, -1) and qn.p == 0):
+    if bp.beB == 0.0:
         return []
     radii = sign_change_radii(qn)
     if not radii:
@@ -379,6 +373,23 @@ def reduced_spin_quadrature(qn, bp) -> ReducedSpinState:
     total_down = float(np.sum(weights * down))
     norm = total_up + total_down
     return ReducedSpinState(prob_up=total_up / norm, prob_down=total_down / norm)
+
+
+def closed_and_quadrature(qn: QuantumNumbers, bp: BeamParameters):
+    """(name, closed form, quadrature companion) for every cross-checked observable.
+
+    The integrated density comes first.  The magnetic moment needs beB > 0
+    and is left out at beB = 0.
+    """
+    pairs = [
+        ("int_j0", integrated_density(qn, bp), integrated_density_quadrature(qn, bp)),
+        ("int_jz", integrated_jz(qn, bp), integrated_jz_quadrature(qn, bp)),
+        ("r2_moment", r2_moment(qn, bp), r2_moment_quadrature(qn, bp)),
+        ("jz_gauge", gauge_covariant_jz(qn, bp), gauge_covariant_jz_quadrature(qn, bp)),
+    ]
+    if bp.beB > 0:
+        pairs.append(("mz", magnetic_moment(qn, bp), magnetic_moment_quadrature(qn, bp)))
+    return pairs
 
 
 def radial_profile(qn: QuantumNumbers, bp: BeamParameters, r,

@@ -260,12 +260,16 @@ def _coordinate_lower(mu: int, f: PolyGaussSpinor) -> PolyGaussSpinor:
     raise ValueError(f"index must be 0..3, got {mu}")
 
 
+def _dirac_terms(f: PolyGaussSpinor, field: FieldConfig):
+    """The five terms gamma^mu P_mu f (mu = 0..3) and -m f, summed in this order."""
+    return ([apply_gauge_momentum(mu, f, field).apply_matrix(clifford.gamma(mu))
+             for mu in range(4)] + [(-f.mass) * f])
+
+
 def apply_dirac(f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
     """(gamma^mu P_mu - m) f."""
-    out = (-f.mass) * f
-    for mu in range(4):
-        out = out + apply_gauge_momentum(mu, f, field).apply_matrix(clifford.gamma(mu))
-    return out
+    terms = _dirac_terms(f, field)
+    return sum(terms[1:], terms[0])
 
 
 def apply_canonical_jz(f: PolyGaussSpinor) -> PolyGaussSpinor:
@@ -385,34 +389,30 @@ def _poly2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scalar_poly2(l: int, oam_sign: int, p: int) -> np.ndarray:
+    """2-D coefficients (in u, v) of the scalar mode (u + oam_sign i v)^l L_p^l(u^2+v^2)."""
+    return _poly2_mul(_vortex_poly2(l, oam_sign), _radial_poly2(_laguerre_series(p, l)))
+
+
 def state_to_polyspinor(qn: QuantumNumbers, bp: BeamParameters,
                         include_spin_orbit: bool = True,
                         energy_shift: float = 0.0) -> PolyGaussSpinor:
     """Exact polynomial form of a closed-form state (requires beB > 0).
 
-    ``energy_shift`` displaces the energy entering both the phase and the
-    bispinor entries, used as a sensitivity control: a shifted state must
-    fail the Dirac equation loudly.
+    The main column holds the state's scalar mode and the mixing column the
+    partner's.  ``energy_shift`` displaces the energy entering both the
+    phase and the bispinor entries, used as a sensitivity control: a
+    shifted state must fail the Dirac equation loudly.
     """
     if bp.beB <= 0.0:
         raise ValueError("polynomial conversion needs beB > 0")
     en = energy(qn, bp).total + energy_shift
     m, k = bp.m, bp.k
     scale = math.sqrt(bp.beB / 2.0)
-    main2 = _poly2_mul(_vortex_poly2(qn.l, qn.oam_sign),
-                       _radial_poly2(_laguerre_series(qn.p, qn.l)))
+    main2 = _scalar_poly2(qn.l, qn.oam_sign, qn.p)
     spin_up = qn.spin_sign > 0
-    l, p = qn.l, qn.p
-    fam = qn.family
-    if fam == (1, 1):
-        so_vortex, so_series, so_factor = (l + 1, 1), _laguerre_series(p, l + 1), 1.0
-    elif fam == (-1, 1):
-        so_vortex, so_series, so_factor = (l - 1, 1), _laguerre_series(p, l - 1), -float(p + l)
-    elif fam == (1, -1):
-        so_vortex, so_series, so_factor = (l - 1, -1), _laguerre_series(p + 1, l - 1), -float(p + 1)
-    else:
-        so_vortex, so_series, so_factor = (l + 1, -1), _laguerre_series(p - 1, l + 1), 1.0
-    so2 = _poly2_mul(_vortex_poly2(*so_vortex), _radial_poly2(so_series))
+    so_factor, so_l, so_p = qn.spin_orbit_mixing
+    so2 = _scalar_poly2(so_l, qn.oam_sign, so_p)
     amp = 1j * math.sqrt(2.0 * bp.beB) * so_factor
 
     nuv = max(main2.shape + so2.shape)
@@ -435,8 +435,7 @@ def scalar_state_to_polyspinor(qn: QuantumNumbers, bp: BeamParameters,
     """Scalar vortex profile times one basis bispinor, in polynomial form."""
     if bp.beB <= 0.0:
         raise ValueError("polynomial conversion needs beB > 0")
-    pol = _poly2_mul(_vortex_poly2(qn.l, qn.oam_sign),
-                     _radial_poly2(_laguerre_series(qn.p, qn.l)))
+    pol = _scalar_poly2(qn.l, qn.oam_sign, qn.p)
     coeffs = np.zeros((4, pol.shape[0], pol.shape[1], 1, 1), dtype=complex)
     coeffs[component, :, :, 0, 0] = pol
     return PolyGaussSpinor(coeffs, energy(qn, bp).total, bp.k, bp.m,
@@ -456,13 +455,8 @@ def dirac_residual(qn: QuantumNumbers, bp: BeamParameters,
     so the number is meaningful across twelve orders of magnitude in beB.
     """
     f = state_to_polyspinor(qn, bp, include_spin_orbit, energy_shift)
-    fld = landau_field(bp)
-    terms = [apply_gauge_momentum(mu, f, fld).apply_matrix(clifford.gamma(mu))
-             for mu in range(4)]
-    terms.append((-f.mass) * f)
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
+    terms = _dirac_terms(f, landau_field(bp))
+    total = sum(terms[1:], terms[0])
     denom = max(t.max_abs() for t in terms)
     return total.max_abs() / denom if denom else total.max_abs()
 

@@ -53,22 +53,45 @@ class QuantumNumbers:
         """Landau plus Zeeman energy squared in units of 2 B|e| (an integer)."""
         return (2 * self.p + self.l * (1 + self.oam_sign) + 1 + self.spin_sign) // 2
 
+    @property
+    def spin_orbit_mixing(self):
+        """(amplitude, l', p') of the opposite-spin mixing column.
+
+        The column is amplitude * i sqrt(2 beB) times the scalar mode
+        r^l' e^{-r^2/2} L_p'^l'(r^2) of the partner state, with its phase
+        twisted by e^{+-i phi}.  The protected ground family (spin<0,
+        OAM<=0, p=0) is the one with p' = -1: no partner and no mixing.
+        """
+        return _SPIN_ORBIT_MIXING[self.family](self.l, self.p)
+
     def spin_orbit_partner(self):
         """The opposite-spin state sharing squared energy and canonical J_z.
 
         Returns None for the protected ground family (spin<0, OAM<=0, p=0),
         which has no degenerate opposite-spin companion.
         """
-        s, o, l, p = self.spin_sign, self.oam_sign, self.l, self.p
-        if (s, o) == (1, 1):
-            return QuantumNumbers(-1, 1, l + 1, p)
-        if (s, o) == (-1, 1):
-            return QuantumNumbers(1, 1, l - 1, p)
-        if (s, o) == (1, -1):
-            return QuantumNumbers(-1, -1, l - 1, p + 1)
-        if p == 0:
+        _, l2, p2 = self.spin_orbit_mixing
+        if p2 < 0:
             return None
-        return QuantumNumbers(1, -1, l + 1, p - 1)
+        return QuantumNumbers(-self.spin_sign, self.oam_sign, l2, p2)
+
+
+#: family -> (l, p) -> (mixing amplitude, l', p'); (l', p') labels the partner
+_SPIN_ORBIT_MIXING = {
+    (1, 1): lambda l, p: (1.0, l + 1, p),
+    (-1, 1): lambda l, p: (-float(p + l), l - 1, p),
+    (1, -1): lambda l, p: (-float(p + 1), l - 1, p + 1),
+    (-1, -1): lambda l, p: (1.0, l + 1, p - 1),
+}
+
+
+def iter_states(lmax: int, pmax: int):
+    """Every state with l <= lmax and p <= pmax, family by family, then l, then p."""
+    for spin, oam in FAMILIES:
+        lmin = 0 if spin == oam else 1
+        for l in range(lmin, lmax + 1):
+            for p in range(pmax + 1):
+                yield QuantumNumbers(spin, oam, l, p)
 
 
 @dataclass(frozen=True)
@@ -131,16 +154,9 @@ def scalar_mode(qn: QuantumNumbers, bp: BeamParameters, point) -> complex:
 
 
 def _spin_orbit_radial(qn: QuantumNumbers, r2):
-    """Family-specific (sign * factor, l-power, Laguerre value) of the mixing term."""
-    l, p = qn.l, qn.p
-    fam = qn.family
-    if fam == (1, 1):
-        return 1.0, l + 1, eval_laguerre(p, l + 1, r2)
-    if fam == (-1, 1):
-        return -float(p + l), l - 1, eval_laguerre(p, l - 1, r2)
-    if fam == (1, -1):
-        return -float(p + 1), l - 1, eval_laguerre(p + 1, l - 1, r2)
-    return 1.0, l + 1, eval_laguerre(p - 1, l + 1, r2)
+    """(amplitude, l', L_p'^l'(r2)) of the mixing column."""
+    amplitude, l2, p2 = qn.spin_orbit_mixing
+    return amplitude, l2, eval_laguerre(p2, l2, r2)
 
 
 def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
@@ -148,11 +164,11 @@ def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
     """The exact four-component solution at a spacetime point, unnormalised.
 
     The value is the main bispinor column (entries m + E and +-k) times the
-    scalar mode plus the opposite-spin mixing column, whose amplitude carries
-    sqrt(2 beB) and one unit of orbital angular momentum transferred from
-    spin.  ``include_spin_orbit=False`` drops the mixing term, which is used
-    by the half-integer angular-momentum checks.  For the ground family
-    (spin<0, OAM<=0, p=0) the mixing term is identically zero.
+    scalar mode plus the opposite-spin mixing column: the partner's scalar
+    mode times i sqrt(2 beB) and the family amplitude (``spin_orbit_mixing``).
+    ``include_spin_orbit=False`` drops the mixing term, which is used by the
+    half-integer angular-momentum checks.  For the ground family (spin<0,
+    OAM<=0, p=0) p' = -1 and the mixing term is identically zero.
     """
     r, phi, z, t = point
     if r < 0.0:
@@ -215,16 +231,9 @@ def spectrum_table(bp: BeamParameters, max_levels: int):
     """
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    entries = []
-    for spin, oam in FAMILIES:
-        lmin = 0 if spin == oam else 1
-        for l in range(lmin, max_levels + 1):
-            for p in range(0, max_levels):
-                qn = QuantumNumbers(spin, oam, l, p)
-                if qn.interaction_index > max_levels - 1:
-                    continue
-                entries.append(SpectrumEntry(qn, energy(qn, bp), qn.canonical_jz,
-                                             qn.spin_orbit_partner()))
+    entries = [SpectrumEntry(qn, energy(qn, bp), qn.canonical_jz, qn.spin_orbit_partner())
+               for qn in iter_states(max_levels, max_levels - 1)
+               if qn.interaction_index <= max_levels - 1]
     entries.sort(key=lambda e: (round(2 * e.canonical_jz), e.qn.interaction_index,
                                 FAMILIES.index(e.qn.family), e.qn.l, e.qn.p))
     return entries

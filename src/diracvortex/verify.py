@@ -14,8 +14,8 @@ import numpy as np
 
 from . import clifford, laguerre, observables as obs, polyspinor as ps
 from .constants import magnetic_length_m
-from .states import (FAMILIES, BeamParameters, QuantumNumbers, energy,
-                     evaluate_spinor, normalization_constant, spectrum_table)
+from .states import (BeamParameters, QuantumNumbers, energy, evaluate_spinor,
+                     iter_states, normalization_constant, spectrum_table)
 
 #: (beB, k) settings with m = 1 used by the sweeps, weak to strong coupling
 PARAMETER_SETS = ((1e-10, 1.0), (0.1, 1.0), (1.0, 3.0))
@@ -35,14 +35,6 @@ class Check:
         d = asdict(self)
         d["pass"] = self.passed
         return d
-
-
-def iter_states(lmax: int, pmax: int):
-    for spin, oam in FAMILIES:
-        lmin = 0 if spin == oam else 1
-        for l in range(lmin, lmax + 1):
-            for p in range(pmax + 1):
-                yield QuantumNumbers(spin, oam, l, p)
 
 
 def clifford_checks():
@@ -134,22 +126,14 @@ def quadrature_checks():
     for beb, k in PARAMETER_SETS:
         bp = BeamParameters(beB=beb, m=1.0, k=k)
         for qn in iter_states(6, 6):
-            pairs = [
-                (obs.integrated_density(qn, bp), obs.integrated_density_quadrature(qn, bp)),
-                (obs.integrated_jz(qn, bp), obs.integrated_jz_quadrature(qn, bp)),
-                (obs.r2_moment(qn, bp), obs.r2_moment_quadrature(qn, bp)),
-                (obs.gauge_covariant_jz(qn, bp), obs.gauge_covariant_jz_quadrature(qn, bp)),
-                (obs.magnetic_moment(qn, bp), obs.magnetic_moment_quadrature(qn, bp)),
-            ]
-            for closed, quad in pairs:
+            pairs = obs.closed_and_quadrature(qn, bp)
+            for _, closed, quad in pairs:
                 worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
+            _, density, density_quad = pairs[0]
             worst_long = max(worst_long,
-                             abs(obs.integrated_density(qn, bp)
-                                 - obs.integrated_density_longform(qn, bp))
-                             / obs.integrated_density(qn, bp))
+                             abs(density - obs.integrated_density_longform(qn, bp)) / density)
             norm = normalization_constant(qn, bp)
-            worst_norm = max(worst_norm,
-                             abs(norm**2 * obs.integrated_density_quadrature(qn, bp) - 1.0))
+            worst_norm = max(worst_norm, abs(norm**2 * density_quad - 1.0))
     return [Check("quadrature_vs_closed_forms", worst, 1e-9),
             Check("integrated_density_two_forms", worst_long, 1e-12),
             Check("normalization_unit_integral", worst_norm, 1e-10)]

@@ -176,6 +176,17 @@ class TestTable:
             if name.startswith("err_"):
                 assert float(value) <= 1e-9
 
+    def test_zero_field_json_is_strict(self, tmp_path):
+        code, text = run(["table", "--B", "0", "--check", "--format", "json"], tmp_path)
+        assert code == 0
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(text, parse_constant=reject)
+        assert payload["meta"]["unit_radius_nm"] is None
+        assert "err_int_j0" in payload["columns"] and "err_mz" not in payload["columns"]
+
     def test_dropped_column_half_integer(self, tmp_path):
         _, text = run(["table", "--l", "-3", "--p", "2", "--spin", "up",
                        "--format", "json"], tmp_path)
@@ -228,6 +239,16 @@ class TestUsageErrors:
 
     def test_nonpositive_rmax(self):
         assert cli.main(["profile", "--rmax", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [["table", "--B", "nan"], ["table", "--B", "inf"],
+                                      ["table", "--k-over-m", "nan"],
+                                      ["table", "--m-kev", "inf"],
+                                      ["profile", "--rmax", "inf"],
+                                      ["figure", "--k-over-m=-inf"]])
+    def test_non_finite_input(self, argv, tmp_path):
+        code, text = run(argv, tmp_path)
+        assert code == 2
+        assert text == ""
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -113,6 +113,24 @@ class TestSpinor:
             comp = evaluate_spinor(qn, BP, (r, phi, 0.5, -0.5)).components
             assert comp[2] == 0.0
 
+    def test_mixing_column_is_partner_scalar_mode(self):
+        rng = np.random.default_rng(17)
+        amplitudes = {(1, 1): lambda l, p: 1, (-1, 1): lambda l, p: -(p + l),
+                      (1, -1): lambda l, p: -(p + 1), (-1, -1): lambda l, p: 1}
+        for qn in all_states(6, 6):
+            points = [tuple(x) for x in rng.uniform([0, -3, -2, -2], [4, 3, 2, 2], size=(12, 4))]
+            mixed = 3 if qn.spin_sign > 0 else 2
+            got = np.array([evaluate_spinor(qn, BP, pt).components[mixed] for pt in points])
+            partner = qn.spin_orbit_partner()
+            if partner is None:
+                assert qn.family == (-1, -1) and qn.p == 0
+                assert np.all(got == 0.0)
+                continue
+            a = amplitudes[qn.family](qn.l, qn.p)
+            expect = np.array([1j * math.sqrt(2 * BP.beB) * a * scalar_mode(partner, BP, pt)
+                               for pt in points])
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
     def test_all_components_vanish_on_axis_for_vortex_at_rest(self):
         bp = BeamParameters(beB=0.37, m=1.0, k=0.0)
         for fam in FAMILIES:
