@@ -12,11 +12,11 @@ from .states import (BeamParameters, EnergyDecomposition, QuantumNumbers,
                      SpinorValue, energy, evaluate_spinor, normalization_constant,
                      scalar_mode, spectrum_table)
 from .observables import (CurrentSample, RadialProfile, ReducedSpinState,
-                          SpinTextureSample, canonical_jz, counterflow_rings,
-                          current_density, current_profile, gauge_covariant_jz,
-                          gordon_residual, integrated_density, integrated_jz,
-                          magnetic_moment, radial_profile, reduced_spin_state,
-                          sign_change_radii, spin_texture)
+                          SpinTextureSample, counterflow_rings, current_density,
+                          current_profile, gauge_covariant_jz, gordon_residual,
+                          integrated_density, integrated_jz, magnetic_moment,
+                          radial_profile, reduced_spin_state, sign_change_radii,
+                          spin_texture)
 from .polyspinor import (FieldConfig, PolyGaussSpinor, apply_canonical_jz,
                          apply_dirac, apply_gauge_covariant_j, apply_gauge_momentum,
                          commutator_dirac_j_residual, commutator_jj_residual,
@@ -26,7 +26,7 @@ __all__ = [
     "BeamParameters", "CurrentSample", "EnergyDecomposition", "FieldConfig",
     "PolyGaussSpinor", "QuantumNumbers", "RadialProfile", "ReducedSpinState",
     "SpinTextureSample", "SpinorValue", "apply_canonical_jz", "apply_dirac",
-    "apply_gauge_covariant_j", "apply_gauge_momentum", "canonical_jz",
+    "apply_gauge_covariant_j", "apply_gauge_momentum",
     "commutator_dirac_j_residual", "commutator_jj_residual", "counterflow_rings",
     "current_density", "current_profile", "dirac_residual", "energy",
     "evaluate_spinor", "gauge_covariant_jz", "gordon_residual",

@@ -59,8 +59,8 @@ def _write_json(payload, stream):
     """Strict JSON: a non-finite meta value (no magnetic length at B = 0) is null."""
     meta = {key: None if isinstance(value, float) and not math.isfinite(value) else value
             for key, value in payload["meta"].items()}
-    stream.write(json.dumps({**payload, "meta": meta}, indent=2, default=_fmt,
-                            allow_nan=False) + "\n")
+    stream.write(json.dumps({**payload, "meta": meta}, indent=2,
+                            default=lambda value: value.item(), allow_nan=False) + "\n")
 
 
 def _output(out):
@@ -69,6 +69,9 @@ def _output(out):
 
 
 def _emit(meta, columns, rows, fmt, out):
+    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+        raise ValueError("non-finite output values: double-precision overflow "
+                         "at large l or p")
     with _output(out) as stream:
         if fmt == "csv":
             _write_csv(meta, columns, rows, stream)

@@ -50,14 +50,15 @@ def gamma_lower(mu: int) -> np.ndarray:
     return METRIC_SIGNS[mu] * gamma(mu)
 
 
-def gamma_cylindrical(phi: float):
+def gamma_cylindrical(phi):
     """Radial and azimuthal gamma matrices at angle phi.
 
     gamma_r = cos(phi) gamma_x + sin(phi) gamma_y,
     gamma_phi = -sin(phi) gamma_x + cos(phi) gamma_y.
     The nonzero entries sit on the anti-diagonal blocks and carry phases
-    exp(+-i phi).
+    exp(+-i phi).  An array of angles gives stacks of shape phi.shape + (4, 4).
     """
+    phi = np.asarray(phi)[..., None, None]
     c, s = np.cos(phi), np.sin(phi)
     return c * GAMMA1 + s * GAMMA2, -s * GAMMA1 + c * GAMMA2
 

@@ -6,6 +6,7 @@ The p = -1 polynomial is identically zero by convention; it shows up in
 derivative formulas and in the ground-family spinors.
 """
 
+import functools
 
 import numpy as np
 from scipy.special import roots_laguerre
@@ -65,10 +66,15 @@ def check_recurrences(p: int, l: int, x: float) -> float:
     return max(r1, r2)
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_laguerre_nodes(degree: int):
-    """Nodes and weights integrating x^d e^{-x} on [0, inf) exactly for d <= degree."""
-    n = degree // 2 + 1
-    return roots_laguerre(n)
+    """Nodes and weights integrating x^d e^{-x} on [0, inf) exactly for d <= degree.
+
+    Cached by degree; the returned arrays are read-only.
+    """
+    nodes, weights = roots_laguerre(degree // 2 + 1)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def integrate_weighted(fn, degree: int) -> float:

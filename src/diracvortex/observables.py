@@ -101,17 +101,15 @@ def current_density(qn: QuantumNumbers, bp: BeamParameters, r: float) -> Current
 def current_from_spinor(qn: QuantumNumbers, bp: BeamParameters, point):
     """(j0, jr, jphi, jz) by contracting the pointwise spinor with the matrices.
 
-    Independent route for cross-checking the closed forms.
+    Independent route for cross-checking the closed forms.  The entries of
+    ``point`` broadcast as in ``evaluate_spinor``; each current has their
+    broadcast shape.
     """
     psi = evaluate_spinor(qn, bp, point).components
-    phi = point[1]
     g0 = clifford.GAMMA0
-    gr, gphi = clifford.gamma_cylindrical(phi)
-    j0 = float(np.real(np.vdot(psi, psi)))
-    jr = float(np.real(np.vdot(psi, g0 @ gr @ psi)))
-    jph = float(np.real(np.vdot(psi, g0 @ gphi @ psi)))
-    jz = float(np.real(np.vdot(psi, g0 @ clifford.GAMMA3 @ psi)))
-    return j0, jr, jph, jz
+    gr, gphi = clifford.gamma_cylindrical(point[1])
+    return tuple(np.real(np.einsum("...i,...ij,...j->...", psi.conj(), mat, psi))
+                 for mat in (clifford.IDENTITY4, g0 @ gr, g0 @ gphi, g0 @ clifford.GAMMA3))
 
 
 def integrated_density(qn: QuantumNumbers, bp: BeamParameters) -> float:
@@ -139,15 +137,18 @@ def integrated_jz(qn: QuantumNumbers, bp: BeamParameters) -> float:
     return integrated_density(qn, bp) * bp.k / energy(qn, bp).total
 
 
+def _azimuthal_spin(qn: QuantumNumbers, bp: BeamParameters, jphi):
+    """S_phi = spin_sign * k/(2(E+m)) * jphi, nonzero only where spin-orbit mixing is."""
+    return qn.spin_sign * 0.5 * bp.k / (energy(qn, bp).total + bp.m) * jphi
+
+
 def spin_texture(qn: QuantumNumbers, bp: BeamParameters, r: float) -> SpinTextureSample:
     """Spin density (S_r, S_phi, S_z) at radius r, from S = Psi^dag Sigma Psi / 2.
 
-    The radial component vanishes; the azimuthal one is
-    spin_sign * k/(2(E+m)) * jphi, nonzero only where spin-orbit mixing is.
+    The radial component vanishes; the azimuthal one follows the azimuthal
+    current (``_azimuthal_spin``).
     """
-    en = energy(qn, bp).total
-    sample = current_density(qn, bp, r)
-    s_phi = qn.spin_sign * 0.5 * bp.k / (en + bp.m) * sample.jphi
+    s_phi = _azimuthal_spin(qn, bp, current_density(qn, bp, r).jphi)
     psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0)).components
     s_z = 0.5 * float(np.real(np.vdot(psi, clifford.SIGMA_Z @ psi)))
     return SpinTextureSample(float(r), 0.0, float(s_phi), s_z)
@@ -172,11 +173,6 @@ def reduced_spin_state(qn: QuantumNumbers, bp: BeamParameters) -> ReducedSpinSta
     if qn.spin_sign > 0:
         return ReducedSpinState(prob_up=majority, prob_down=minority)
     return ReducedSpinState(prob_up=minority, prob_down=majority)
-
-
-def canonical_jz(qn: QuantumNumbers) -> float:
-    """Half-integer eigenvalue of -i d/dphi + Sigma_z/2."""
-    return qn.canonical_jz
 
 
 def gauge_covariant_jz(qn: QuantumNumbers, bp: BeamParameters,
@@ -258,16 +254,13 @@ def counterflow_rings(qn: QuantumNumbers, bp: BeamParameters):
     radii = sign_change_radii(qn)
     if not radii:
         return []
-    outer_probe = radii[-1] + 1.0
-    outer_sign = math.copysign(1.0, current_density(qn, bp, outer_probe).jphi)
-    edges = [0.0] + radii
-    rings = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        val = current_density(qn, bp, mid).jphi
-        if val != 0.0 and math.copysign(1.0, val) != outer_sign:
-            rings.append((lo, hi))
-    return rings
+    lows = [0.0] + radii[:-1]
+    # jphi at every interval midpoint, then at the outer probe
+    probes = np.append(0.5 * (np.array(lows) + radii), radii[-1] + 1.0)
+    jphi = current_profile(qn, bp, probes)[2]
+    outer_sign = math.copysign(1.0, jphi[-1])
+    return [(lo, hi) for lo, hi, val in zip(lows, radii, jphi)
+            if val != 0.0 and math.copysign(1.0, val) != outer_sign]
 
 
 def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
@@ -288,7 +281,7 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
     if np.any(r <= 0.0) or np.any(h <= 0.0) or not np.allclose(h, h[0], rtol=1e-9):
         raise ValueError("grid must be uniform, increasing and strictly positive")
     m = bp.m
-    psi = np.array([evaluate_spinor(qn, bp, (ri, 0.0, 0.0, 0.0)).components for ri in r])
+    psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0)).components
     c0, c1, c2, c3 = psi[:, 0], psi[:, 1], psi[:, 2], psi[:, 3]
     jz = 2.0 * np.real(np.conj(c0) * c2) - 2.0 * np.real(np.conj(c1) * c3)
     bar_density = (np.abs(c0)**2 + np.abs(c1)**2 - np.abs(c2)**2 - np.abs(c3)**2)
@@ -308,10 +301,7 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
 def _node_samples(qn: QuantumNumbers, bp: BeamParameters, degree: int,
                   include_spin_orbit: bool = True):
     nodes, weights = gauss_laguerre_nodes(degree)
-    psi = np.array([
-        evaluate_spinor(qn, bp, (math.sqrt(x), 0.0, 0.0, 0.0), include_spin_orbit).components
-        for x in nodes
-    ])
+    psi = evaluate_spinor(qn, bp, (np.sqrt(nodes), 0.0, 0.0, 0.0), include_spin_orbit).components
     return nodes, weights, psi
 
 
@@ -397,8 +387,7 @@ def radial_profile(qn: QuantumNumbers, bp: BeamParameters, r,
     """Sampled (j0, jz, jphi, S_phi) over a radial grid, ready for serialisation."""
     r = np.asarray(r, dtype=float)
     j0, _, jphi, jz = current_profile(qn, bp, r)
-    en = energy(qn, bp).total
-    s_phi = qn.spin_sign * 0.5 * bp.k / (en + bp.m) * jphi
+    s_phi = _azimuthal_spin(qn, bp, jphi)
     scale = 1.0
     if normalized:
         scale *= normalization_constant(qn, bp)**2

@@ -122,7 +122,7 @@ class EnergyDecomposition:
 
 @dataclass(frozen=True)
 class SpinorValue:
-    components: np.ndarray          # 4 complex entries
+    components: np.ndarray          # complex, shape (..., 4): spinor index last
     point: tuple                    # (r, phi, z, t) with r the rescaled radius
 
 
@@ -161,7 +161,11 @@ def _spin_orbit_radial(qn: QuantumNumbers, r2):
 
 def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
                     include_spin_orbit: bool = True) -> SpinorValue:
-    """The exact four-component solution at a spacetime point, unnormalised.
+    """The exact four-component solution at spacetime points, unnormalised.
+
+    Each entry of ``point = (r, phi, z, t)`` may be a scalar or an array; the
+    entries broadcast, and the components carry the broadcast shape with the
+    spinor index last: (4,) for a single point, (..., 4) for arrays.
 
     The value is the main bispinor column (entries m + E and +-k) times the
     scalar mode plus the opposite-spin mixing column: the partner's scalar
@@ -170,24 +174,24 @@ def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
     half-integer angular-momentum checks.  For the ground family (spin<0,
     OAM<=0, p=0) p' = -1 and the mixing term is identically zero.
     """
-    r, phi, z, t = point
-    if r < 0.0:
+    r, phi, z, t = (np.asarray(c, dtype=float) for c in point)
+    if np.any(r < 0.0):
         raise ValueError("radius must be >= 0")
     en = energy(qn, bp).total
     m, k = bp.m, bp.k
-    envelope = math.exp(-0.5 * r * r)
+    envelope = np.exp(-0.5 * r * r)
     carrier = np.exp(1j * (bp.k * z - en * t))
     vortex = np.exp(1j * qn.oam_sign * qn.l * phi)
     main = r**qn.l * eval_laguerre(qn.p, qn.l, r * r) * envelope * carrier * vortex
 
-    comp = np.zeros(4, dtype=complex)
+    comp = np.zeros(np.shape(main) + (4,), dtype=complex)
     spin_up = qn.spin_sign > 0
     if spin_up:
-        comp[0] = (m + en) * main
-        comp[2] = k * main
+        comp[..., 0] = (m + en) * main
+        comp[..., 2] = k * main
     else:
-        comp[1] = (m + en) * main
-        comp[3] = -k * main
+        comp[..., 1] = (m + en) * main
+        comp[..., 3] = -k * main
 
     if include_spin_orbit:
         factor, lpow, lag = _spin_orbit_radial(qn, r * r)
@@ -195,8 +199,8 @@ def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
         twist = np.exp(1j * qn.spin_sign * phi)
         so = (math.sqrt(2.0 * bp.beB) * 1j * factor * r**lpow * lag
               * envelope * carrier * vortex * twist)
-        comp[3 if spin_up else 2] = so
-    return SpinorValue(comp, (r, phi, z, t))
+        comp[..., 3 if spin_up else 2] = so
+    return SpinorValue(comp, tuple(point))
 
 
 def normalization_constant(qn: QuantumNumbers, bp: BeamParameters) -> float:

@@ -189,20 +189,16 @@ def current_structure_checks():
     for qn in iter_states(6, 6):
         points = rng.uniform([0.05, -math.pi, -2.0, -2.0], [4.0, math.pi, 2.0, 2.0],
                              size=(8, 4))
-        rows = []
-        for r, phi, z, t in points:
-            j0, jr, jphi, jz = obs.current_from_spinor(qn, bp, (r, phi, z, t))
-            sample = obs.current_density(qn, bp, r)
-            rows.append((j0 - sample.j0, jphi - sample.jphi, jz - sample.jz, jr, j0))
-        scale = max(row[4] for row in rows)
-        for dj0, djphi, djz, jr, _ in rows:
-            worst_match = max(worst_match, abs(dj0) / scale, abs(djphi) / scale,
-                              abs(djz) / scale)
-            worst_jr = max(worst_jr, abs(jr) / scale)
+        j0, jr, jphi, jz = obs.current_from_spinor(qn, bp, points.T)
+        closed_j0, _, closed_jphi, closed_jz = obs.current_profile(qn, bp, points[:, 0])
+        scale = np.max(j0)
+        diff = np.abs([j0 - closed_j0, jphi - closed_jphi, jz - closed_jz])
+        worst_match = max(worst_match, float(np.max(diff) / scale))
+        worst_jr = max(worst_jr, float(np.max(np.abs(jr)) / scale))
     # stationarity: vary phi, z, t at fixed radius
     qn = QuantumNumbers(1, 1, 2, 3)
-    vals = np.array([obs.current_from_spinor(qn, bp, (1.3, phi, z, t))
-                     for phi, z, t in rng.uniform(-3, 3, size=(20, 3))])
+    phi, z, t = rng.uniform(-3, 3, size=(20, 3)).T
+    vals = np.transpose(obs.current_from_spinor(qn, bp, (1.3, phi, z, t)))
     worst_station = float(np.max(np.var(vals, axis=0)) / np.max(vals**2))
     return [Check("closed_vs_pointwise_currents", worst_match, 1e-12),
             Check("radial_current_vanishes", worst_jr, 1e-14),
@@ -252,10 +248,9 @@ def ground_protection_checks():
         bp = BeamParameters(beB=beb, m=1.0, k=k)
         for l in range(0, 5):
             qn = QuantumNumbers(-1, -1, l, 0)
-            rng = np.random.default_rng(3)
-            for r in rng.uniform(0.0, 4.0, 16):
-                comp = evaluate_spinor(qn, bp, (float(r), 0.3, 0.1, -0.2)).components
-                worst_amp = max(worst_amp, abs(comp[2]))
+            r = np.random.default_rng(3).uniform(0.0, 4.0, 16)
+            comp = evaluate_spinor(qn, bp, (r, 0.3, 0.1, -0.2)).components
+            worst_amp = max(worst_amp, float(np.max(np.abs(comp[:, 2]))))
             rho = obs.reduced_spin_state(qn, bp)
             worst_exact = max(worst_exact,
                               abs(rho.purity - 1.0),

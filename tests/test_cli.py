@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, determinism, unit conversion, exit codes."""
 
+import io
 import json
 import math
 
@@ -230,6 +231,14 @@ class TestVerifyCommand:
         assert any(not c["pass"] for c in payload["checks"])
 
 
+class TestJsonWriter:
+    def test_numpy_scalars_keep_their_type(self):
+        buf = io.StringIO()
+        cli._write_json({"meta": {}, "x": np.bool_(True), "n": np.int64(3),
+                         "v": np.float64(0.25)}, buf)
+        assert json.loads(buf.getvalue()) == {"meta": {}, "x": True, "n": 3, "v": 0.25}
+
+
 class TestUsageErrors:
     def test_negative_p(self, tmp_path):
         assert cli.main(["profile", "--p", "-1"]) == 2
@@ -249,6 +258,15 @@ class TestUsageErrors:
         code, text = run(argv, tmp_path)
         assert code == 2
         assert text == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [["profile", "--l", "160", "--rmax", "40", "--samples", "4"],
+                                      ["table", "--l", "60", "--p", "60", "--check"]])
+    def test_overflow_at_large_l_p(self, argv, fmt, tmp_path, capsys):
+        code, text = run(argv + ["--format", fmt], tmp_path)
+        assert code == 2
+        assert text == ""
+        assert "overflow at large l or p" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -42,6 +42,16 @@ class TestCurrents:
                 assert abs(jz - sample.jz) <= 1e-12 * scale
                 assert abs(jr) <= 1e-14 * scale
 
+    def test_array_contraction_matches_pointwise(self):
+        rng = np.random.default_rng(31)
+        for qn in sample_states(3, 3):
+            points = rng.uniform([0.05, -3, -2, -2], [4, 3, 2, 2], (9, 4))
+            batch = np.array(obs.current_from_spinor(qn, BP, points.T))
+            single = np.array([obs.current_from_spinor(qn, BP, tuple(pt))
+                               for pt in points]).T
+            assert batch.shape == single.shape == (4, 9)
+            assert np.max(np.abs(batch - single)) <= 1e-14 * np.max(single[0])
+
     def test_density_nonnegative(self):
         grid = np.linspace(0.0, 5.0, 257)
         for qn in sample_states(3, 3):
@@ -197,9 +207,9 @@ class TestReducedSpin:
 
 class TestAngularMomentum:
     def test_canonical_values(self):
-        assert obs.canonical_jz(QuantumNumbers(1, 1, 2, 0)) == 2.5
-        assert obs.canonical_jz(QuantumNumbers(-1, -1, 0, 3)) == -0.5
-        assert obs.canonical_jz(QuantumNumbers(1, -1, 1, 0)) == -0.5
+        assert QuantumNumbers(1, 1, 2, 0).canonical_jz == 2.5
+        assert QuantumNumbers(-1, -1, 0, 3).canonical_jz == -0.5
+        assert QuantumNumbers(1, -1, 1, 0).canonical_jz == -0.5
 
     def test_protected_ground_state_exactly_half(self):
         for l in range(3):

@@ -142,6 +142,36 @@ class TestSpinor:
         with pytest.raises(ValueError):
             evaluate_spinor(QuantumNumbers(1, 1, 0, 0), BP, (-0.1, 0, 0, 0))
 
+    def test_array_point_matches_pointwise_calls(self):
+        rng = np.random.default_rng(23)
+        for qn in all_states(6, 6):
+            points = rng.uniform([0, -3, -2, -2], [4, 3, 2, 2], size=(17, 4))
+            batch = evaluate_spinor(qn, BP, points.T).components
+            single = np.array([evaluate_spinor(qn, BP, tuple(pt)).components for pt in points])
+            assert batch.shape == (17, 4)
+            assert np.max(np.abs(batch - single)) <= 1e-15 * np.max(np.abs(single))
+
+    def test_array_point_exact_without_phases(self):
+        r = np.random.default_rng(29).uniform(0, 4, size=17)
+        for qn in all_states(6, 6):
+            batch = evaluate_spinor(qn, BP, (r, 0.0, 0.0, 0.0)).components
+            single = np.array([evaluate_spinor(qn, BP, (x, 0.0, 0.0, 0.0)).components
+                               for x in r])
+            assert np.array_equal(batch, single)
+
+    def test_component_shapes(self):
+        qn = QuantumNumbers(-1, 1, 2, 1)
+        assert evaluate_spinor(qn, BP, (1.0, 0.5, 0.0, 0.0)).components.shape == (4,)
+        r = np.linspace(0.0, 3.0, 7)
+        assert evaluate_spinor(qn, BP, (r, 0.5, 0.1, 0.2)).components.shape == (7, 4)
+        assert evaluate_spinor(qn, BP, (r, 0.5, 0.1, 0.2),
+                               include_spin_orbit=False).components.shape == (7, 4)
+
+    def test_negative_radius_in_array_rejected(self):
+        r = np.array([0.5, 1.0, -1e-12, 2.0])
+        with pytest.raises(ValueError):
+            evaluate_spinor(QuantumNumbers(1, 1, 0, 0), BP, (r, 0.0, 0.0, 0.0))
+
     def test_dirac_equation_sample(self):
         for fam, l in (((1, 1), 0), ((-1, 1), 1), ((1, -1), 2), ((-1, -1), 0)):
             qn = QuantumNumbers(*fam, l=l, p=2)
