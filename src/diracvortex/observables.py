@@ -331,11 +331,16 @@ def r2_moment_quadrature(qn, bp, include_spin_orbit=True) -> float:
     return math.pi * float(np.sum(weights * dens))
 
 
+def _jz_gauge_from_moments(qn: QuantumNumbers, r2: float, density: float) -> float:
+    """Canonical eigenvalue plus the mean of r^2 from its two integrals."""
+    return qn.canonical_jz + r2 / density
+
+
 def gauge_covariant_jz_quadrature(qn, bp, drop_spin_orbit=False) -> float:
     """Canonical eigenvalue plus the quadrature mean of r^2."""
     keep = not drop_spin_orbit
-    return qn.canonical_jz + (r2_moment_quadrature(qn, bp, keep)
-                              / integrated_density_quadrature(qn, bp, keep))
+    return _jz_gauge_from_moments(qn, r2_moment_quadrature(qn, bp, keep),
+                                  integrated_density_quadrature(qn, bp, keep))
 
 
 def magnetic_moment_quadrature(qn, bp) -> float:
@@ -369,13 +374,16 @@ def closed_and_quadrature(qn: QuantumNumbers, bp: BeamParameters):
     """(name, closed form, quadrature companion) for every cross-checked observable.
 
     The integrated density comes first.  The magnetic moment needs beB > 0
-    and is left out at beB = 0.
+    and is left out at beB = 0.  The density and r^2 integrals are sampled
+    once and also give the jz_gauge companion.
     """
+    density = integrated_density_quadrature(qn, bp)
+    r2 = r2_moment_quadrature(qn, bp)
     pairs = [
-        ("int_j0", integrated_density(qn, bp), integrated_density_quadrature(qn, bp)),
+        ("int_j0", integrated_density(qn, bp), density),
         ("int_jz", integrated_jz(qn, bp), integrated_jz_quadrature(qn, bp)),
-        ("r2_moment", r2_moment(qn, bp), r2_moment_quadrature(qn, bp)),
-        ("jz_gauge", gauge_covariant_jz(qn, bp), gauge_covariant_jz_quadrature(qn, bp)),
+        ("r2_moment", r2_moment(qn, bp), r2),
+        ("jz_gauge", gauge_covariant_jz(qn, bp), _jz_gauge_from_moments(qn, r2, density)),
     ]
     if bp.beB > 0:
         pairs.append(("mz", magnetic_moment(qn, bp), magnetic_moment_quadrature(qn, bp)))

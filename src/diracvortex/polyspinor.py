@@ -57,6 +57,9 @@ class PolyGaussSpinor:
 
     ``coeffs[c, i, j, a, b]`` multiplies u^i v^j z^a t^b in component c.
     Instances are treated as immutable; operations return new objects.
+    The public constructor validates its input; results of the operations
+    below are built by ``_like``, which skips that validation because their
+    coefficients are already complex arrays of the right shape.
     """
 
     __slots__ = ("coeffs", "energy", "kz", "mass", "scale")
@@ -74,20 +77,27 @@ class PolyGaussSpinor:
         self.scale = float(scale)
 
     def _like(self, coeffs):
-        return PolyGaussSpinor(coeffs, self.energy, self.kz, self.mass, self.scale)
+        out = object.__new__(PolyGaussSpinor)
+        out.coeffs = coeffs
+        out.energy, out.kz, out.mass, out.scale = (self.energy, self.kz,
+                                                   self.mass, self.scale)
+        return out
 
     def _check_compatible(self, other):
-        for name in ("energy", "kz", "mass", "scale"):
-            if getattr(self, name) != getattr(other, name):
-                raise ValueError(f"operands carry different {name}")
+        if (self.energy, self.kz, self.mass, self.scale) \
+                != (other.energy, other.kz, other.mass, other.scale):
+            for name in ("energy", "kz", "mass", "scale"):
+                if getattr(self, name) != getattr(other, name):
+                    raise ValueError(f"operands carry different {name}")
 
     def __add__(self, other):
         self._check_compatible(other)
-        shape = np.maximum(self.coeffs.shape, other.coeffs.shape)
-        out = np.zeros(shape, dtype=complex)
         a, b = self.coeffs, other.coeffs
-        out[:, :a.shape[1], :a.shape[2], :a.shape[3], :a.shape[4]] += a
-        out[:, :b.shape[1], :b.shape[2], :b.shape[3], :b.shape[4]] += b
+        if a.shape == b.shape:
+            return self._like(a + b)
+        shape = tuple(map(max, a.shape, b.shape))
+        out = _padded(a, shape)
+        out += _padded(b, shape)
         return self._like(out)
 
     def __sub__(self, other):
@@ -100,14 +110,15 @@ class PolyGaussSpinor:
         return self._like(-self.coeffs)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
+        return float(np.abs(self.coeffs).max()) if self.coeffs.size else 0.0
 
     def degrees(self):
         """Maximal retained exponent per coordinate (after trimming zeros)."""
+        nonzero = self.coeffs != 0
         out = []
         for axis in range(1, 5):
             other = tuple(a for a in range(5) if a != axis)
-            mask = np.any(self.coeffs != 0, axis=other)
+            mask = np.any(nonzero, axis=other)
             nz = np.nonzero(mask)[0]
             out.append(int(nz[-1]) if nz.size else 0)
         return tuple(out)
@@ -119,9 +130,11 @@ class PolyGaussSpinor:
     # primitive coordinate actions (rescaled transverse coordinates)
 
     def _shift(self, axis):
-        pad = [(0, 0)] * 5
-        pad[axis] = (1, 0)
-        return self._like(np.pad(self.coeffs, pad))
+        c = self.coeffs
+        out = np.zeros(c.shape[:axis] + (c.shape[axis] + 1,) + c.shape[axis + 1:],
+                       dtype=complex)
+        out[(slice(None),) * axis + (slice(1, None),)] = c
+        return self._like(out)
 
     def _poly_derivative(self, axis):
         n = self.coeffs.shape[axis]
@@ -175,13 +188,26 @@ class PolyGaussSpinor:
         return self.scale * self.d_v()
 
     def apply_matrix(self, mat):
-        return self._like(np.tensordot(np.asarray(mat, dtype=complex),
-                                       self.coeffs, axes=([1], [0])))
+        # the same (4, 4) x (4, N) BLAS product np.tensordot forms, minus its Python overhead
+        c = self.coeffs
+        return self._like(np.dot(np.asarray(mat, dtype=complex),
+                                 c.reshape(4, -1)).reshape(c.shape))
 
 
 def zero_like(f: PolyGaussSpinor) -> PolyGaussSpinor:
-    return PolyGaussSpinor(np.zeros((4, 1, 1, 1, 1), dtype=complex),
-                           f.energy, f.kz, f.mass, f.scale)
+    return f._like(np.zeros((4, 1, 1, 1, 1), dtype=complex))
+
+
+def _sum(terms, f: PolyGaussSpinor) -> PolyGaussSpinor:
+    """Sum of ``terms`` in order, starting from the first; zero_like(f) if there are none."""
+    return sum(terms[1:], terms[0]) if terms else zero_like(f)
+
+
+def _padded(coeffs: np.ndarray, shape) -> np.ndarray:
+    """``coeffs`` in a zero array of the larger ``shape``, each exponent in its slot."""
+    out = np.zeros(shape, dtype=complex)
+    out[tuple(map(slice, coeffs.shape))] = coeffs
+    return out
 
 
 def relative_residual(lhs: PolyGaussSpinor, rhs: PolyGaussSpinor, *refs) -> float:
@@ -194,11 +220,9 @@ def relative_residual(lhs: PolyGaussSpinor, rhs: PolyGaussSpinor, *refs) -> floa
 
 def is_scalar_multiple(g: PolyGaussSpinor, f: PolyGaussSpinor, tol: float = 1e-10):
     """Least-squares test whether g = lambda f; returns (verdict, lambda)."""
-    shape = np.maximum(f.coeffs.shape, g.coeffs.shape)
-    a = np.zeros(shape, dtype=complex)
-    b = np.zeros(shape, dtype=complex)
-    a[:, :f.coeffs.shape[1], :f.coeffs.shape[2], :f.coeffs.shape[3], :f.coeffs.shape[4]] = f.coeffs
-    b[:, :g.coeffs.shape[1], :g.coeffs.shape[2], :g.coeffs.shape[3], :g.coeffs.shape[4]] = g.coeffs
+    shape = tuple(map(max, f.coeffs.shape, g.coeffs.shape))
+    a = _padded(f.coeffs, shape)
+    b = _padded(g.coeffs, shape)
     denom = np.vdot(a, a)
     if denom == 0:
         return False, 0.0j
@@ -215,21 +239,17 @@ def _potential_action(mu: int, f: PolyGaussSpinor, field: FieldConfig) -> PolyGa
     ex, ey, ez = field.E
     bx, by, bz = field.B
     if mu == 0:
-        out = zero_like(f)
-        if ex:
-            out = out + (-ex) * f.mul_x()
-        if ey:
-            out = out + (-ey) * f.mul_y()
-        if ez:
-            out = out + (-ez) * f.mul_z()
-        return out
-    if mu == 1:
-        return (-0.5 * by) * f.mul_z() + (0.5 * bz) * f.mul_y()
-    if mu == 2:
-        return (-0.5 * bz) * f.mul_x() + (0.5 * bx) * f.mul_z()
-    if mu == 3:
-        return (-0.5 * bx) * f.mul_y() + (0.5 * by) * f.mul_x()
-    raise ValueError(f"index must be 0..3, got {mu}")
+        terms = ((-ex, f.mul_x), (-ey, f.mul_y), (-ez, f.mul_z))
+    elif mu == 1:
+        terms = ((-0.5 * by, f.mul_z), (0.5 * bz, f.mul_y))
+    elif mu == 2:
+        terms = ((-0.5 * bz, f.mul_x), (0.5 * bx, f.mul_z))
+    elif mu == 3:
+        terms = ((-0.5 * bx, f.mul_y), (0.5 * by, f.mul_x))
+    else:
+        raise ValueError(f"index must be 0..3, got {mu}")
+    # a term with a zero coefficient adds only zeros (and a wider box), so it is left out
+    return _sum([coef * mul() for coef, mul in terms if coef], f)
 
 
 def apply_gauge_momentum(mu: int, f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
@@ -268,8 +288,7 @@ def _dirac_terms(f: PolyGaussSpinor, field: FieldConfig):
 
 def apply_dirac(f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
     """(gamma^mu P_mu - m) f."""
-    terms = _dirac_terms(f, field)
-    return sum(terms[1:], terms[0])
+    return _sum(_dirac_terms(f, field), f)
 
 
 def apply_canonical_jz(f: PolyGaussSpinor) -> PolyGaussSpinor:
@@ -323,14 +342,14 @@ def commutator_dirac_j_residual(mu: int, nu: int, field: FieldConfig,
     df = apply_dirac(f, field)
     lhs = apply_dirac(jf, field) - apply_gauge_covariant_j((mu, nu), df, field)
     fs = field.field_strength()
-    rhs = zero_like(f)
+    terms = []
     for lam in range(4):
         gf = f.apply_matrix(clifford.gamma(lam))
         if fs[nu, lam]:
-            rhs = rhs + fs[nu, lam] * _coordinate_lower(mu, gf)
+            terms.append(fs[nu, lam] * _coordinate_lower(mu, gf))
         if fs[mu, lam]:
-            rhs = rhs - fs[mu, lam] * _coordinate_lower(nu, gf)
-    rhs = (1j * ELECTRON_CHARGE) * rhs
+            terms.append(-1.0 * (fs[mu, lam] * _coordinate_lower(nu, gf)))
+    rhs = (1j * ELECTRON_CHARGE) * _sum(terms, f)
     return relative_residual(lhs, rhs, f, jf, df)
 
 
@@ -456,7 +475,7 @@ def dirac_residual(qn: QuantumNumbers, bp: BeamParameters,
     """
     f = state_to_polyspinor(qn, bp, include_spin_orbit, energy_shift)
     terms = _dirac_terms(f, landau_field(bp))
-    total = sum(terms[1:], terms[0])
+    total = _sum(terms, f)
     denom = max(t.max_abs() for t in terms)
     return total.max_abs() / denom if denom else total.max_abs()
 

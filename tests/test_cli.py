@@ -1,14 +1,20 @@
 """Command-line behaviour: formats, determinism, unit conversion, exit codes."""
 
+import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diracvortex import cli
 from diracvortex.constants import beb_over_m2, magnetic_length_m
+
+#: sha256 of the stdout of pinned command lines, shared with the benchmark
+REFERENCE_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json").read_text())
 
 
 def run(argv, tmp_path, name="out.txt"):
@@ -272,3 +278,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             cli.main(["frobnicate"])
         assert err.value.code == 2
+
+
+class TestReferenceDigests:
+    """Pinned command lines keep their stdout to the byte."""
+
+    @pytest.mark.parametrize("line", sorted(REFERENCE_DIGESTS))
+    def test_stdout_digest(self, line, capsys):
+        assert cli.main(line.split()) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == REFERENCE_DIGESTS[line]

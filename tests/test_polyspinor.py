@@ -85,9 +85,80 @@ class TestPrimitives:
 
     def test_incompatible_operands_rejected(self):
         f = random_f(seed=6)
-        other = ps.PolyGaussSpinor(f.coeffs, f.energy + 1.0, f.kz, f.mass, f.scale)
-        with pytest.raises(ValueError):
-            _ = f + other
+        base = {"energy": f.energy, "kz": f.kz, "mass": f.mass, "scale": f.scale}
+        for name in base:
+            other = ps.PolyGaussSpinor(f.coeffs, **{**base, name: base[name] + 1.0})
+            with pytest.raises(ValueError, match=f"different {name}"):
+                _ = f + other
+            with pytest.raises(ValueError, match=f"different {name}"):
+                _ = other + f
+
+
+def _pad_to(coeffs, shape):
+    out = np.zeros(shape, dtype=complex)
+    out[:coeffs.shape[0], :coeffs.shape[1], :coeffs.shape[2],
+        :coeffs.shape[3], :coeffs.shape[4]] = coeffs
+    return out
+
+
+class TestFastPathOracles:
+    """The cheap primitives against their plain numpy definitions, bit for bit."""
+
+    def test_shift_is_pad_on_every_axis(self):
+        f = random_f(degree=3, zt=2, seed=50)
+        for axis, shifted in ((1, f.mul_u()), (2, f.mul_v()), (3, f.mul_z()), (4, f.mul_t())):
+            pad = [(0, 0)] * 5
+            pad[axis] = (1, 0)
+            assert shifted.coeffs.shape == np.pad(f.coeffs, pad).shape
+            assert np.array_equal(shifted.coeffs, np.pad(f.coeffs, pad))
+
+    def test_add_equal_shapes(self):
+        f, g = random_f(seed=51), random_f(seed=52)
+        assert np.array_equal((f + g).coeffs, f.coeffs + g.coeffs)
+
+    def test_add_mismatched_shapes(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            shapes = [(4,) + tuple(int(n) for n in rng.integers(1, 5, size=4)) for _ in range(2)]
+            a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+            f = ps.PolyGaussSpinor(a, 1.3, 0.7, 1.0)
+            g = ps.PolyGaussSpinor(b, 1.3, 0.7, 1.0)
+            shape = tuple(np.maximum(a.shape, b.shape))
+            expect = _pad_to(a, shape) + _pad_to(b, shape)
+            assert (f + g).coeffs.shape == shape
+            assert np.array_equal((f + g).coeffs, expect)
+            assert np.array_equal((f - g).coeffs,
+                                  _pad_to(a, shape) + _pad_to(-1.0 * b, shape))
+
+    @staticmethod
+    def _full_potential(mu, f, fld):
+        """Every term of A_mu f, zero field components included."""
+        (ex, ey, ez), (bx, by, bz) = fld.E, fld.B
+        return {0: (-ex) * f.mul_x() + (-ey) * f.mul_y() + (-ez) * f.mul_z(),
+                1: (-0.5 * by) * f.mul_z() + (0.5 * bz) * f.mul_y(),
+                2: (-0.5 * bz) * f.mul_x() + (0.5 * bx) * f.mul_z(),
+                3: (-0.5 * bx) * f.mul_y() + (0.5 * by) * f.mul_x()}[mu]
+
+    def test_potential_skips_only_zero_terms(self):
+        f = random_f(degree=3, zt=1, seed=54)
+        fields = [ps.FieldConfig(B=(0.0, 0.0, 1.3)),
+                  ps.FieldConfig(E=(0.0, 0.0, 0.8)),
+                  ps.FieldConfig(B=(0.3, 0.0, -0.2), E=(0.0, 0.5, 0.0)),
+                  ps.FieldConfig(B=(0.3, -0.2, 0.8), E=(0.1, 0.5, -0.4)),
+                  ps.FieldConfig()]
+        for fld in fields:
+            for mu in range(4):
+                fast = ps._potential_action(mu, f, fld).trimmed().coeffs
+                full = self._full_potential(mu, f, fld).trimmed().coeffs
+                assert fast.shape == full.shape
+                assert np.array_equal(fast, full)
+
+    def test_landau_potential_keeps_z_degree(self):
+        # the zero components of the Landau field add no z power
+        qn = QuantumNumbers(1, 1, 2, 1)
+        f = ps.state_to_polyspinor(qn, BP)
+        assert f.coeffs.shape[3] == 1
+        assert ps.apply_dirac(f, ps.landau_field(BP)).coeffs.shape[3] == 1
 
 
 class TestDiracResidual:
