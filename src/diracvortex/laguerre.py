@@ -60,7 +60,7 @@ def check_recurrences(p: int, l: int, x: float) -> float:
     c = eval_laguerre(p - 1, l + 1, x)
     r1 = abs(a - (b - c)) / max(1.0, abs(a), abs(b), abs(c))
     d = x * eval_derivative(p, l, x)
-    e = p * eval_laguerre(p, l, x)
+    e = p * a
     f = (p + l) * eval_laguerre(p - 1, l, x)
     r2 = abs(d - (e - f)) / max(1.0, abs(d), abs(e), abs(f))
     return max(r1, r2)
@@ -93,10 +93,9 @@ def weighted_inner_product(p1: int, p2: int, l: int, weight_power: int) -> float
     """
     if min(p1, p2, l, weight_power) < 0:
         raise ValueError("indices and weight power must be >= 0")
-    degree = p1 + p2 + weight_power
-    nodes, weights = gauss_laguerre_nodes(degree)
-    vals = nodes**weight_power * eval_laguerre(p1, l, nodes) * eval_laguerre(p2, l, nodes)
-    return float(np.sum(weights * vals))
+    return integrate_weighted(
+        lambda x: x**weight_power * eval_laguerre(p1, l, x) * eval_laguerre(p2, l, x),
+        p1 + p2 + weight_power)
 
 
 def factorial_ratio(l: int, p: int) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from . import clifford
 from .laguerre import eval_laguerre, factorial_ratio, gauss_laguerre_nodes, positive_roots
 from .states import (BeamParameters, QuantumNumbers, energy, evaluate_spinor,
-                     normalization_constant, _spin_orbit_radial)
+                     normalization_constant)
 
 
 @dataclass(frozen=True)
@@ -61,34 +61,28 @@ class RadialProfile:
     physical_dr: bool = False
 
 
-def _jphi_factors(qn: QuantumNumbers):
-    """(prefactor, radial power, Laguerre index pair) of the azimuthal current.
-
-    jphi = prefactor * r^power * e^{-r^2} * L_p^l(r^2) * L_{p'}^{l'}(r^2)
-           * (E + m) * sqrt(beB), the cross term of the main column with the
-    mixing column; it vanishes identically when p' = -1 (ground family).
-    """
-    amplitude, l2, p2 = qn.spin_orbit_mixing
-    return 2.0 * math.sqrt(2.0) * qn.spin_sign * amplitude, qn.l + l2, (p2, l2)
-
-
 def current_profile(qn: QuantumNumbers, bp: BeamParameters, r):
-    """Closed-form (j0, jr, jphi, jz) sampled over an array of radii."""
+    """Closed-form (j0, jr, jphi, jz) sampled over an array of radii.
+
+    jphi is the cross term of the main column with the mixing column
+    (``spin_orbit_mixing``): a Gaussian times L_p^l(r^2) L_{p'}^{l'}(r^2),
+    identically zero when p' = -1 (ground family).
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radii must be >= 0")
     en = energy(qn, bp).total
     m, k = bp.m, bp.k
+    amplitude, l2, p2 = qn.spin_orbit_mixing
     x = r * r
     gauss = np.exp(-x)
-    main_sq = r**(2 * qn.l) * eval_laguerre(qn.p, qn.l, x)**2 * gauss
-    so_factor, so_pow, so_lag = _spin_orbit_radial(qn, x)
-    so_sq = 2.0 * bp.beB * so_factor**2 * r**(2 * so_pow) * np.asarray(so_lag)**2 * gauss
+    lag, lag2 = eval_laguerre(qn.p, qn.l, x), eval_laguerre(p2, l2, x)
+    main_sq = r**(2 * qn.l) * lag**2 * gauss
+    so_sq = 2.0 * bp.beB * amplitude**2 * r**(2 * l2) * np.asarray(lag2)**2 * gauss
     j0 = ((m + en)**2 + k**2) * main_sq + so_sq
     jz = 2.0 * k * (m + en) * main_sq
-    pref, power, (p2, l2) = _jphi_factors(qn)
-    jphi = (pref * r**power * gauss * eval_laguerre(qn.p, qn.l, x)
-            * eval_laguerre(p2, l2, x) * (en + m) * math.sqrt(bp.beB))
+    jphi = (2.0 * math.sqrt(2.0) * qn.spin_sign * amplitude * r**(qn.l + l2) * gauss * lag
+            * lag2 * (en + m) * math.sqrt(bp.beB))
     return j0, np.zeros_like(j0), jphi, jz
 
 
@@ -234,7 +228,7 @@ def sign_change_radii(qn: QuantumNumbers):
     coincide).  Counts per family: 2p, 2p, 2p+1 and, for the fourth family,
     p + (p-1) when p >= 1 and none at p = 0 where jphi vanishes identically.
     """
-    _, _, (p2, l2) = _jphi_factors(qn)
+    _, l2, p2 = qn.spin_orbit_mixing
     if p2 < 0:
         return []
     roots = positive_roots(qn.p, qn.l) + positive_roots(p2, l2)
@@ -244,23 +238,17 @@ def sign_change_radii(qn: QuantumNumbers):
 def counterflow_rings(qn: QuantumNumbers, bp: BeamParameters):
     """Bounded radial intervals where jphi runs against the dominant rotation.
 
-    The dominant sign is the one jphi keeps on the unbounded outer interval;
-    every bounded interval whose midpoint carries the opposite sign is
-    returned as (r_lo, r_hi).  Empty when jphi vanishes identically (ground
-    family p = 0, or beB = 0).
+    The dominant sign is the one jphi keeps on the unbounded outer interval.
+    jphi flips sign at every radius of ``sign_change_radii``, so the rings
+    are every other bounded interval (r_lo, r_hi), counting inward from the
+    outermost one, which always is a ring.  Empty when jphi vanishes
+    identically (ground family p = 0, or beB = 0).
     """
     if bp.beB == 0.0:
         return []
     radii = sign_change_radii(qn)
-    if not radii:
-        return []
-    lows = [0.0] + radii[:-1]
-    # jphi at every interval midpoint, then at the outer probe
-    probes = np.append(0.5 * (np.array(lows) + radii), radii[-1] + 1.0)
-    jphi = current_profile(qn, bp, probes)[2]
-    outer_sign = math.copysign(1.0, jphi[-1])
-    return [(lo, hi) for lo, hi, val in zip(lows, radii, jphi)
-            if val != 0.0 and math.copysign(1.0, val) != outer_sign]
+    intervals = list(zip([0.0] + radii[:-1], radii))
+    return intervals[(len(intervals) - 1) % 2::2]
 
 
 def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
@@ -298,37 +286,37 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
 # Quadrature companions: everything below samples the pointwise spinor at
 # Gauss-Laguerre nodes in x = r^2, never touching the closed forms above.
 
-def _node_samples(qn: QuantumNumbers, bp: BeamParameters, degree: int,
+def _node_samples(qn: QuantumNumbers, bp: BeamParameters, extra_degree: int = 0,
                   include_spin_orbit: bool = True):
-    nodes, weights = gauss_laguerre_nodes(degree)
+    """Gauss nodes, weights and spinor in x = r^2; exact for x^extra_degree times the density."""
+    nodes, weights = gauss_laguerre_nodes(2 * (qn.l + 2 * qn.p) + 10 + extra_degree)
     psi = evaluate_spinor(qn, bp, (np.sqrt(nodes), 0.0, 0.0, 0.0), include_spin_orbit).components
     return nodes, weights, psi
 
 
-def _quad_degree(qn: QuantumNumbers) -> int:
-    return 2 * (qn.l + 2 * qn.p) + 10
+def _weighted_sum(weights, nodes, values) -> float:
+    """Gauss sum of ``values`` with the rule's e^{-x} weight undone."""
+    return float(np.sum(weights * (values * np.exp(nodes))))
 
 
 def integrated_density_quadrature(qn, bp, include_spin_orbit=True) -> float:
     """Transverse integral of j0 by quadrature of the sampled spinor."""
-    nodes, weights, psi = _node_samples(qn, bp, _quad_degree(qn), include_spin_orbit)
-    dens = np.sum(np.abs(psi)**2, axis=1) * np.exp(nodes)
-    return math.pi * float(np.sum(weights * dens))
+    nodes, weights, psi = _node_samples(qn, bp, 0, include_spin_orbit)
+    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1))
 
 
 def integrated_jz_quadrature(qn, bp) -> float:
     """Transverse integral of j_z by quadrature of the sampled spinor."""
-    nodes, weights, psi = _node_samples(qn, bp, _quad_degree(qn))
+    nodes, weights, psi = _node_samples(qn, bp)
     jz = (2.0 * np.real(np.conj(psi[:, 0]) * psi[:, 2])
-          - 2.0 * np.real(np.conj(psi[:, 1]) * psi[:, 3])) * np.exp(nodes)
-    return math.pi * float(np.sum(weights * jz))
+          - 2.0 * np.real(np.conj(psi[:, 1]) * psi[:, 3]))
+    return math.pi * _weighted_sum(weights, nodes, jz)
 
 
 def r2_moment_quadrature(qn, bp, include_spin_orbit=True) -> float:
     """Transverse integral of r^2 Psi^dag Psi by quadrature."""
-    nodes, weights, psi = _node_samples(qn, bp, _quad_degree(qn) + 2, include_spin_orbit)
-    dens = np.sum(np.abs(psi)**2, axis=1) * nodes * np.exp(nodes)
-    return math.pi * float(np.sum(weights * dens))
+    nodes, weights, psi = _node_samples(qn, bp, 2, include_spin_orbit)
+    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1) * nodes)
 
 
 def _jz_gauge_from_moments(qn: QuantumNumbers, r2: float, density: float) -> float:
@@ -351,21 +339,20 @@ def magnetic_moment_quadrature(qn, bp) -> float:
     """
     if bp.beB <= 0.0:
         raise ValueError("magnetic moment requires beB > 0")
-    nodes, weights, psi = _node_samples(qn, bp, _quad_degree(qn) + 2)
+    nodes, weights, psi = _node_samples(qn, bp, 2)
     _, gphi = clifford.gamma_cylindrical(0.0)
     mat = clifford.GAMMA0 @ gphi
-    jphi = np.real(np.einsum("ni,ij,nj->n", np.conj(psi), mat, psi)) * np.exp(nodes)
-    integral = 0.5 * float(np.sum(weights * np.sqrt(nodes) * jphi))
+    jphi = np.real(np.einsum("ni,ij,nj->n", np.conj(psi), mat, psi))
+    # r_phys = sqrt(2/beB) sqrt(x): the sqrt(x) joins the weights
+    integral = 0.5 * _weighted_sum(weights * np.sqrt(nodes), nodes, jphi)
     return -math.pi * math.sqrt(2.0 / bp.beB) * integral
 
 
 def reduced_spin_quadrature(qn, bp) -> ReducedSpinState:
     """Diagonal of the reduced spin state from component-wise quadrature."""
-    nodes, weights, psi = _node_samples(qn, bp, _quad_degree(qn))
-    up = (np.abs(psi[:, 0])**2 + np.abs(psi[:, 2])**2) * np.exp(nodes)
-    down = (np.abs(psi[:, 1])**2 + np.abs(psi[:, 3])**2) * np.exp(nodes)
-    total_up = float(np.sum(weights * up))
-    total_down = float(np.sum(weights * down))
+    nodes, weights, psi = _node_samples(qn, bp)
+    total_up = _weighted_sum(weights, nodes, np.abs(psi[:, 0])**2 + np.abs(psi[:, 2])**2)
+    total_down = _weighted_sum(weights, nodes, np.abs(psi[:, 1])**2 + np.abs(psi[:, 3])**2)
     norm = total_up + total_down
     return ReducedSpinState(prob_up=total_up / norm, prob_down=total_down / norm)
 

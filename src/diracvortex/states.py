@@ -153,12 +153,6 @@ def scalar_mode(qn: QuantumNumbers, bp: BeamParameters, point) -> complex:
     return complex(radial * phase)
 
 
-def _spin_orbit_radial(qn: QuantumNumbers, r2):
-    """(amplitude, l', L_p'^l'(r2)) of the mixing column."""
-    amplitude, l2, p2 = qn.spin_orbit_mixing
-    return amplitude, l2, eval_laguerre(p2, l2, r2)
-
-
 def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
                     include_spin_orbit: bool = True) -> SpinorValue:
     """The exact four-component solution at spacetime points, unnormalised.
@@ -194,10 +188,10 @@ def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
         comp[..., 3] = -k * main
 
     if include_spin_orbit:
-        factor, lpow, lag = _spin_orbit_radial(qn, r * r)
+        amplitude, l2, p2 = qn.spin_orbit_mixing
         # e^{+i phi} for spin up, e^{-i phi} for spin down
         twist = np.exp(1j * qn.spin_sign * phi)
-        so = (math.sqrt(2.0 * bp.beB) * 1j * factor * r**lpow * lag
+        so = (math.sqrt(2.0 * bp.beB) * 1j * amplitude * r**l2 * eval_laguerre(p2, l2, r * r)
               * envelope * carrier * vortex * twist)
         comp[..., 3 if spin_up else 2] = so
     return SpinorValue(comp, tuple(point))

@@ -17,8 +17,11 @@ from .constants import magnetic_length_m
 from .states import (BeamParameters, QuantumNumbers, energy, evaluate_spinor,
                      iter_states, normalization_constant, spectrum_table)
 
-#: (beB, k) settings with m = 1 used by the sweeps, weak to strong coupling
-PARAMETER_SETS = ((1e-10, 1.0), (0.1, 1.0), (1.0, 3.0))
+#: beams with m = 1 used by the sweeps, weak to strong coupling
+PARAMETER_SETS = tuple(BeamParameters(beB=beb, m=1.0, k=k)
+                       for beb, k in ((1e-10, 1.0), (0.1, 1.0), (1.0, 3.0)))
+#: the beam of the single-setting checks
+BEAM = BeamParameters(beB=0.37, m=1.0, k=0.8)
 
 
 @dataclass(frozen=True)
@@ -92,15 +95,14 @@ def laguerre_checks():
 def dirac_sweep_check(sabotage=None):
     shift = 0.1 if sabotage == "energy" else 0.0
     worst = 0.0
-    for beb, k in PARAMETER_SETS:
-        bp = BeamParameters(beB=beb, m=1.0, k=k)
+    for bp in PARAMETER_SETS:
         for qn in iter_states(8, 8):
             worst = max(worst, ps.dirac_residual(qn, bp, energy_shift=shift))
     return [Check("dirac_equation_sweep", worst, 1e-10)]
 
 
 def eigenvalue_checks():
-    bp = BeamParameters(beB=0.37, m=1.0, k=0.8)
+    bp = BEAM
     worst_jz = 0.0
     worst_landau = 0.0
     for qn in iter_states(4, 4):
@@ -123,8 +125,7 @@ def quadrature_checks():
     worst = 0.0
     worst_long = 0.0
     worst_norm = 0.0
-    for beb, k in PARAMETER_SETS:
-        bp = BeamParameters(beB=beb, m=1.0, k=k)
+    for bp in PARAMETER_SETS:
         for qn in iter_states(6, 6):
             pairs = obs.closed_and_quadrature(qn, bp)
             for _, closed, quad in pairs:
@@ -182,7 +183,7 @@ def commutator_checks():
 
 def current_structure_checks():
     rng = np.random.default_rng(5)
-    bp = BeamParameters(beB=0.37, m=1.0, k=0.8)
+    bp = BEAM
     worst_match = 0.0
     worst_jr = 0.0
     worst_station = 0.0
@@ -206,12 +207,13 @@ def current_structure_checks():
 
 
 def ring_checks():
-    bp = BeamParameters(beB=0.37, m=1.0, k=0.8)
+    bp = BEAM
     worst_root = 0.0
     worst_count = 0.0
     cases = [QuantumNumbers(1, 1, 2, 3), QuantumNumbers(-1, 1, 2, 3),
              QuantumNumbers(1, -1, 2, 3), QuantumNumbers(-1, -1, 2, 3)]
     for qn in cases:
+        _, l2, p2 = qn.spin_orbit_mixing
         radii = obs.sign_change_radii(qn)
         # dense scan oracle
         if radii:
@@ -225,7 +227,6 @@ def ring_checks():
         worst_count = max(worst_count, float(abs(flips - len(radii))))
         for r in radii:
             # each predicted radius must be a true zero of the factor pair
-            _, _, (p2, l2) = obs._jphi_factors(qn)
             v1 = abs(laguerre.eval_laguerre(qn.p, qn.l, r * r))
             v2 = abs(laguerre.eval_laguerre(p2, l2, r * r))
             worst_root = max(worst_root, min(v1, v2))
@@ -244,8 +245,7 @@ def ring_checks():
 def ground_protection_checks():
     worst_amp = 0.0
     worst_exact = 0.0
-    for beb, k in PARAMETER_SETS:
-        bp = BeamParameters(beB=beb, m=1.0, k=k)
+    for bp in PARAMETER_SETS:
         for l in range(0, 5):
             qn = QuantumNumbers(-1, -1, l, 0)
             r = np.random.default_rng(3).uniform(0.0, 4.0, 16)
@@ -254,7 +254,7 @@ def ground_protection_checks():
             rho = obs.reduced_spin_state(qn, bp)
             worst_exact = max(worst_exact,
                               abs(rho.purity - 1.0),
-                              abs(obs.magnetic_moment(qn, bp)) if beb > 0 else 0.0,
+                              abs(obs.magnetic_moment(qn, bp)) if bp.beB > 0 else 0.0,
                               abs(obs.gauge_covariant_jz(qn, bp) - (2 * qn.p + 0.5)))
     return [Check("ground_spin_orbit_amplitude", worst_amp, 0.0),
             Check("ground_exact_observables", worst_exact, 0.0)]
@@ -262,8 +262,7 @@ def ground_protection_checks():
 
 def half_integer_checks():
     worst = 0.0
-    for beb, k in PARAMETER_SETS:
-        bp = BeamParameters(beB=beb, m=1.0, k=k)
+    for bp in PARAMETER_SETS:
         for qn in iter_states(6, 6):
             val = obs.gauge_covariant_jz(qn, bp, drop_spin_orbit=True)
             worst = max(worst, abs(val - round(2 * val) / 2.0))
@@ -271,7 +270,7 @@ def half_integer_checks():
 
 
 def gordon_checks():
-    bp = BeamParameters(beB=0.37, m=1.0, k=0.8)
+    bp = BEAM
     min_order = math.inf
     for qn in (QuantumNumbers(1, 1, 2, 3), QuantumNumbers(-1, 1, 1, 1),
                QuantumNumbers(1, -1, 1, 2)):
@@ -287,7 +286,7 @@ def gordon_checks():
 
 
 def spectrum_checks():
-    bp = BeamParameters(beB=0.37, m=1.0, k=0.8)
+    bp = BEAM
     table = spectrum_table(bp, 6)
     worst = 0.0
     for entry in table:

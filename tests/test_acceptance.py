@@ -172,7 +172,7 @@ def test_criterion_07_current_structure():
         qn = QuantumNumbers(*fam, l=2, p=3)
         radii = obs.sign_change_radii(qn)
         # root-count prediction from the two polynomial factors
-        _, _, (p2, l2) = obs._jphi_factors(qn)
+        _, l2, p2 = qn.spin_orbit_mixing
         assert len(radii) == qn.p + p2 == expected_changes[fam]
         # every sign change of the emitted profile sits at sqrt of a root
         grid = np.linspace(1e-4, radii[-1] + 1.5, 20001)

@@ -268,6 +268,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv", [["profile", "--l", "160", "--rmax", "40", "--samples", "4"],
                                       ["table", "--l", "60", "--p", "60", "--check"]])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
     def test_overflow_at_large_l_p(self, argv, fmt, tmp_path, capsys):
         code, text = run(argv + ["--format", fmt], tmp_path)
         assert code == 2

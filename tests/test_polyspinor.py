@@ -153,6 +153,18 @@ class TestFastPathOracles:
                 assert fast.shape == full.shape
                 assert np.array_equal(fast, full)
 
+    @pytest.mark.parametrize("mu", [-1, 4])
+    def test_index_out_of_range_rejected(self, mu):
+        # a tuple lookup alone would take -1 as the last index
+        f = random_f(degree=2, zt=1, seed=55)
+        fld = ps.FieldConfig(B=(0.3, -0.2, 0.8), E=(0.1, 0.5, -0.4))
+        with pytest.raises(ValueError, match="index must be 0..3"):
+            ps.apply_gauge_momentum(mu, f, fld)
+        with pytest.raises(ValueError, match="index must be 0..3"):
+            ps.apply_gauge_covariant_j((mu, 1), f, fld)
+        with pytest.raises(ValueError, match="index must be 0..3"):
+            ps._potential_action(mu, f, fld)
+
     def test_landau_potential_keeps_z_degree(self):
         # the zero components of the Landau field add no z power
         qn = QuantumNumbers(1, 1, 2, 1)
