@@ -8,9 +8,9 @@ at machine precision.
 
 __version__ = "0.1.0"
 
-from .states import (BeamParameters, EnergyDecomposition, QuantumNumbers,
-                     SpinorValue, energy, evaluate_spinor, normalization_constant,
-                     scalar_mode, spectrum_table)
+from .states import (BeamParameters, EnergyDecomposition, QuantumNumbers, energy,
+                     evaluate_spinor, normalization_constant, scalar_mode,
+                     spectrum_table)
 from .observables import (CurrentSample, RadialProfile, ReducedSpinState,
                           SpinTextureSample, counterflow_rings, current_density,
                           current_profile, gauge_covariant_jz, gordon_residual,
@@ -25,7 +25,7 @@ from .polyspinor import (FieldConfig, PolyGaussSpinor, apply_canonical_jz,
 __all__ = [
     "BeamParameters", "CurrentSample", "EnergyDecomposition", "FieldConfig",
     "PolyGaussSpinor", "QuantumNumbers", "RadialProfile", "ReducedSpinState",
-    "SpinTextureSample", "SpinorValue", "apply_canonical_jz", "apply_dirac",
+    "SpinTextureSample", "apply_canonical_jz", "apply_dirac",
     "apply_gauge_covariant_j", "apply_gauge_momentum",
     "commutator_dirac_j_residual", "commutator_jj_residual", "counterflow_rings",
     "current_density", "current_profile", "dirac_residual", "energy",

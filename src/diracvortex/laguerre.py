@@ -16,7 +16,7 @@ FACTORIAL_GUARD = 170
 
 
 def eval_laguerre(p: int, l: int, x):
-    """Value of L_p^l at x (scalar or array), recurrence upward in p.
+    """Value of L_p^l at x, recurrence upward in p; shaped like x (0-d for scalar x).
 
     p = -1 returns 0 by convention; p < -1 is rejected.  l may be any
     integer >= -1 (the superscript enters the recurrence only additively).
@@ -25,14 +25,14 @@ def eval_laguerre(p: int, l: int, x):
         raise ValueError(f"radial index p must be >= -1, got {p}")
     x = np.asarray(x, dtype=float)
     if p == -1:
-        return np.zeros_like(x) if x.ndim else 0.0
+        return np.zeros_like(x)
     prev = np.ones_like(x)          # L_0
     if p == 0:
-        return prev if x.ndim else 1.0
+        return prev
     cur = 1.0 + l - x               # L_1
     for n in range(2, p + 1):
         prev, cur = cur, ((2.0 * n - 1.0 + l - x) * cur - (n - 1.0 + l) * prev) / n
-    return cur if x.ndim else float(cur)
+    return cur
 
 
 def eval_derivative(p: int, l: int, x):
@@ -40,10 +40,8 @@ def eval_derivative(p: int, l: int, x):
     if p < -1:
         raise ValueError(f"radial index p must be >= -1, got {p}")
     if p <= 0:
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x) if x.ndim else 0.0
-    val = eval_laguerre(p - 1, l + 1, x)
-    return -val if np.ndim(x) else -float(val)
+        return np.zeros_like(np.asarray(x, dtype=float))
+    return -eval_laguerre(p - 1, l + 1, x)
 
 
 def check_recurrences(p: int, l: int, x: float) -> float:
@@ -134,20 +132,15 @@ def positive_roots(p: int, l: int):
         samples *= 2
         if samples > 2**22:
             raise RuntimeError("root bracketing failed to converge")
-    roots = [float(grid[i]) for i in exact]
-    for i in idx:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = eval_laguerre(p, l, lo)
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            fmid = eval_laguerre(p, l, mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi))
+    # bisect every bracket at once; a midpoint that is an exact root closes it
+    lo, hi = grid[idx], grid[idx + 1]
+    flo = eval_laguerre(p, l, lo)
+    while np.any(open_ := hi - lo > 1e-12):
+        mid = 0.5 * (lo + hi)
+        fmid = eval_laguerre(p, l, mid)
+        in_left = flo * fmid < 0
+        hi = np.where(open_ & (in_left | (fmid == 0.0)), mid, hi)
+        lo, flo = np.where(open_ & ~in_left, (mid, fmid), (lo, flo))
+    roots = grid[exact].tolist() + (0.5 * (lo + hi)).tolist()
     roots.sort()
     return roots[:p]

@@ -78,7 +78,7 @@ def current_profile(qn: QuantumNumbers, bp: BeamParameters, r):
     gauss = np.exp(-x)
     lag, lag2 = eval_laguerre(qn.p, qn.l, x), eval_laguerre(p2, l2, x)
     main_sq = r**(2 * qn.l) * lag**2 * gauss
-    so_sq = 2.0 * bp.beB * amplitude**2 * r**(2 * l2) * np.asarray(lag2)**2 * gauss
+    so_sq = 2.0 * bp.beB * amplitude**2 * r**(2 * l2) * np.square(lag2) * gauss
     j0 = ((m + en)**2 + k**2) * main_sq + so_sq
     jz = 2.0 * k * (m + en) * main_sq
     jphi = (2.0 * math.sqrt(2.0) * qn.spin_sign * amplitude * r**(qn.l + l2) * gauss * lag
@@ -99,7 +99,7 @@ def current_from_spinor(qn: QuantumNumbers, bp: BeamParameters, point):
     ``point`` broadcast as in ``evaluate_spinor``; each current has their
     broadcast shape.
     """
-    psi = evaluate_spinor(qn, bp, point).components
+    psi = evaluate_spinor(qn, bp, point)
     g0 = clifford.GAMMA0
     gr, gphi = clifford.gamma_cylindrical(point[1])
     return tuple(np.real(np.einsum("...i,...ij,...j->...", psi.conj(), mat, psi))
@@ -143,7 +143,7 @@ def spin_texture(qn: QuantumNumbers, bp: BeamParameters, r: float) -> SpinTextur
     current (``_azimuthal_spin``).
     """
     s_phi = _azimuthal_spin(qn, bp, current_density(qn, bp, r).jphi)
-    psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0)).components
+    psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0))
     s_z = 0.5 * float(np.real(np.vdot(psi, clifford.SIGMA_Z @ psi)))
     return SpinTextureSample(float(r), 0.0, float(s_phi), s_z)
 
@@ -269,7 +269,7 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
     if np.any(r <= 0.0) or np.any(h <= 0.0) or not np.allclose(h, h[0], rtol=1e-9):
         raise ValueError("grid must be uniform, increasing and strictly positive")
     m = bp.m
-    psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0)).components
+    psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0))
     c0, c1, c2, c3 = psi[:, 0], psi[:, 1], psi[:, 2], psi[:, 3]
     jz = 2.0 * np.real(np.conj(c0) * c2) - 2.0 * np.real(np.conj(c1) * c3)
     bar_density = (np.abs(c0)**2 + np.abs(c1)**2 - np.abs(c2)**2 - np.abs(c3)**2)
@@ -290,7 +290,7 @@ def _node_samples(qn: QuantumNumbers, bp: BeamParameters, extra_degree: int = 0,
                   include_spin_orbit: bool = True):
     """Gauss nodes, weights and spinor in x = r^2; exact for x^extra_degree times the density."""
     nodes, weights = gauss_laguerre_nodes(2 * (qn.l + 2 * qn.p) + 10 + extra_degree)
-    psi = evaluate_spinor(qn, bp, (np.sqrt(nodes), 0.0, 0.0, 0.0), include_spin_orbit).components
+    psi = evaluate_spinor(qn, bp, (np.sqrt(nodes), 0.0, 0.0, 0.0), include_spin_orbit)
     return nodes, weights, psi
 
 

@@ -120,12 +120,6 @@ class EnergyDecomposition:
         return self.landau_sq + self.zeeman_sq
 
 
-@dataclass(frozen=True)
-class SpinorValue:
-    components: np.ndarray          # complex, shape (..., 4): spinor index last
-    point: tuple                    # (r, phi, z, t) with r the rescaled radius
-
-
 def energy(qn: QuantumNumbers, bp: BeamParameters) -> EnergyDecomposition:
     """Landau, Zeeman and total energy of the state.
 
@@ -154,12 +148,13 @@ def scalar_mode(qn: QuantumNumbers, bp: BeamParameters, point) -> complex:
 
 
 def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
-                    include_spin_orbit: bool = True) -> SpinorValue:
+                    include_spin_orbit: bool = True) -> np.ndarray:
     """The exact four-component solution at spacetime points, unnormalised.
 
     Each entry of ``point = (r, phi, z, t)`` may be a scalar or an array; the
-    entries broadcast, and the components carry the broadcast shape with the
-    spinor index last: (4,) for a single point, (..., 4) for arrays.
+    entries broadcast, and the returned complex component array carries the
+    broadcast shape with the spinor index last: (4,) for a single point,
+    (..., 4) for arrays.
 
     The value is the main bispinor column (entries m + E and +-k) times the
     scalar mode plus the opposite-spin mixing column: the partner's scalar
@@ -194,7 +189,7 @@ def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
         so = (math.sqrt(2.0 * bp.beB) * 1j * amplitude * r**l2 * eval_laguerre(p2, l2, r * r)
               * envelope * carrier * vortex * twist)
         comp[..., 3 if spin_up else 2] = so
-    return SpinorValue(comp, tuple(point))
+    return comp
 
 
 def normalization_constant(qn: QuantumNumbers, bp: BeamParameters) -> float:

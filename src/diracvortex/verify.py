@@ -81,11 +81,10 @@ def laguerre_checks():
     worst_root = 0.0
     for l in (0, 2, 5):
         for p in range(1, 11):
-            for r in laguerre.positive_roots(p, l):
-                # position error of the bisected root, one Newton correction
-                slope = laguerre.eval_derivative(p, l, r)
-                worst_root = max(worst_root,
-                                 abs(laguerre.eval_laguerre(p, l, r) / slope))
+            r = np.array(laguerre.positive_roots(p, l))
+            # position error of the bisected roots, one Newton correction
+            newton = laguerre.eval_laguerre(p, l, r) / laguerre.eval_derivative(p, l, r)
+            worst_root = max(worst_root, np.max(np.abs(newton)))
     return [Check("laguerre_orthogonality", worst_orth, 1e-11),
             Check("laguerre_second_moment", worst_moment, 1e-11),
             Check("laguerre_recurrences", worst_rec, 1e-12),
@@ -225,11 +224,11 @@ def ring_checks():
         nz = signs != 0
         flips = int(np.count_nonzero(np.diff(signs[nz]) != 0))
         worst_count = max(worst_count, float(abs(flips - len(radii))))
-        for r in radii:
-            # each predicted radius must be a true zero of the factor pair
-            v1 = abs(laguerre.eval_laguerre(qn.p, qn.l, r * r))
-            v2 = abs(laguerre.eval_laguerre(p2, l2, r * r))
-            worst_root = max(worst_root, min(v1, v2))
+        # each predicted radius must be a true zero of the factor pair
+        x = np.square(radii)
+        worst_root = np.max(np.minimum(np.abs(laguerre.eval_laguerre(qn.p, qn.l, x)),
+                                       np.abs(laguerre.eval_laguerre(p2, l2, x))),
+                            initial=worst_root)
     # near-axis sign pattern for negative orbital angular momentum
     neg = obs.current_density(QuantumNumbers(1, -1, 2, 3), bp, 0.05).jphi
     far = obs.current_density(QuantumNumbers(1, -1, 2, 3), bp, 4.0).jphi
@@ -249,7 +248,7 @@ def ground_protection_checks():
         for l in range(0, 5):
             qn = QuantumNumbers(-1, -1, l, 0)
             r = np.random.default_rng(3).uniform(0.0, 4.0, 16)
-            comp = evaluate_spinor(qn, bp, (r, 0.3, 0.1, -0.2)).components
+            comp = evaluate_spinor(qn, bp, (r, 0.3, 0.1, -0.2))
             worst_amp = max(worst_amp, float(np.max(np.abs(comp[:, 2]))))
             rho = obs.reduced_spin_state(qn, bp)
             worst_exact = max(worst_exact,

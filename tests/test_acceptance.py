@@ -61,7 +61,7 @@ def test_criterion_03_ground_state_protection():
             qn = QuantumNumbers(-1, -1, l, 0)
             # spin-orbit amplitude identically zero
             for r in np.linspace(0.0, 4.0, 9):
-                assert evaluate_spinor(qn, bp, (float(r), 0.4, 0.1, 0.2)).components[2] == 0.0
+                assert evaluate_spinor(qn, bp, (float(r), 0.4, 0.1, 0.2))[2] == 0.0
             j0, _, jphi, _ = obs.current_profile(qn, bp, grid)
             assert np.max(np.abs(jphi)) <= 1e-14 * np.max(j0)
             rho = obs.reduced_spin_state(qn, bp)

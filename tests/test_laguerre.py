@@ -63,6 +63,15 @@ def test_matches_scipy_reference():
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
 
+def test_scalar_argument_gives_zero_dimensional_numpy_value():
+    for fn in (laguerre.eval_laguerre, laguerre.eval_derivative):
+        for p in (-1, 0, 1, 5):
+            value = fn(p, 2, 1.3)
+            assert isinstance(value, (np.ndarray, np.generic))
+            assert np.shape(value) == ()
+            assert value == fn(p, 2, np.array([1.3]))[0]
+
+
 def test_derivative_of_constant_is_zero():
     assert laguerre.eval_derivative(0, 4, 2.2) == 0.0
 
@@ -153,6 +162,59 @@ def test_factorial_ratio_guard():
 def test_roots_trivial_cases():
     assert laguerre.positive_roots(0, 5) == []
     assert laguerre.positive_roots(1, 0) == pytest.approx([1.0], abs=1e-12)
+
+
+def scalar_bisection_roots(p, l):
+    """Reference: the same grid brackets, bisected one root at a time."""
+    if p == 0:
+        return []
+    upper = 4.0 * p + 2.0 * l + 4.0
+    samples = 32 * p
+    while True:
+        grid = np.linspace(0.0, upper, samples + 1)[1:]
+        vals = laguerre.eval_laguerre(p, l, grid)
+        signs = np.sign(vals)
+        idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+        exact = np.nonzero(vals == 0.0)[0]
+        if len(idx) + len(exact) >= p:
+            break
+        samples *= 2
+    roots = [float(grid[i]) for i in exact]
+    for i in idx:
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        flo = float(laguerre.eval_laguerre(p, l, lo))
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            fmid = float(laguerre.eval_laguerre(p, l, mid))
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if flo * fmid < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        roots.append(0.5 * (lo + hi))
+    roots.sort()
+    return roots[:p]
+
+
+def test_roots_match_scalar_bisection_bit_for_bit():
+    for p in range(13):
+        for l in range(11):
+            roots = laguerre.positive_roots(p, l)
+            assert roots == scalar_bisection_roots(p, l)
+            assert all(type(r) is float for r in roots)
+
+
+def test_roots_on_grid_points_are_exact():
+    assert laguerre.positive_roots(1, 0) == [1.0]
+    assert laguerre.positive_roots(2, 2) == [2.0, 6.0]
+
+
+def test_roots_at_bisection_midpoints_are_exact():
+    # L_1^28 vanishes at 29, the first midpoint of the grid bracket (28, 30)
+    assert laguerre.positive_roots(1, 28) == [29.0]
+    assert 12.106403191004286 in laguerre.positive_roots(15, 5)
 
 
 def test_roots_of_three_two():

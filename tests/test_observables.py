@@ -131,7 +131,7 @@ class TestSpinTexture:
         rng = np.random.default_rng(8)
         for qn in sample_states(2, 2):
             for r, phi in rng.uniform([0.05, -3], [4, 3], (10, 2)):
-                psi = evaluate_spinor(qn, BP, (r, phi, 0.2, -0.4)).components
+                psi = evaluate_spinor(qn, BP, (r, phi, 0.2, -0.4))
                 sr, _ = clifford.sigma_cylindrical(phi)
                 val = np.real(np.vdot(psi, sr @ psi))
                 assert abs(val) <= 1e-13 * max(1.0, np.vdot(psi, psi).real)
@@ -140,7 +140,7 @@ class TestSpinTexture:
         rng = np.random.default_rng(9)
         for qn in sample_states(2, 2):
             for r, phi in rng.uniform([0.05, -3], [4, 3], (6, 2)):
-                psi = evaluate_spinor(qn, BP, (r, phi, 0.0, 0.0)).components
+                psi = evaluate_spinor(qn, BP, (r, phi, 0.0, 0.0))
                 _, sphi = clifford.sigma_cylindrical(phi)
                 pointwise = 0.5 * np.real(np.vdot(psi, sphi @ psi))
                 closed = obs.spin_texture(qn, BP, r).s_phi
@@ -198,7 +198,7 @@ class TestReducedSpin:
         phis = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
         overlap = 0.0
         for r in (0.5, 1.5, 2.5):
-            vals = np.array([evaluate_spinor(qn, BP, (r, phi, 0, 0)).components
+            vals = np.array([evaluate_spinor(qn, BP, (r, phi, 0, 0))
                              for phi in phis])
             overlap += np.sum(vals[:, 0] * np.conj(vals[:, 1])
                               + vals[:, 2] * np.conj(vals[:, 3])) / len(phis)
