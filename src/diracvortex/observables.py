@@ -77,7 +77,7 @@ def current_profile(qn: QuantumNumbers, bp: BeamParameters, r):
     x = r * r
     gauss = np.exp(-x)
     lag, lag2 = eval_laguerre(qn.p, qn.l, x), eval_laguerre(p2, l2, x)
-    main_sq = r**(2 * qn.l) * lag**2 * gauss
+    main_sq = r**(2 * qn.l) * np.square(lag) * gauss
     so_sq = 2.0 * bp.beB * amplitude**2 * r**(2 * l2) * np.square(lag2) * gauss
     j0 = ((m + en)**2 + k**2) * main_sq + so_sq
     jz = 2.0 * k * (m + en) * main_sq
@@ -286,11 +286,10 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
 # Quadrature companions: everything below samples the pointwise spinor at
 # Gauss-Laguerre nodes in x = r^2, never touching the closed forms above.
 
-def _node_samples(qn: QuantumNumbers, bp: BeamParameters, extra_degree: int = 0,
-                  include_spin_orbit: bool = True):
+def _node_samples(qn: QuantumNumbers, bp: BeamParameters, extra_degree: int = 0):
     """Gauss nodes, weights and spinor in x = r^2; exact for x^extra_degree times the density."""
     nodes, weights = gauss_laguerre_nodes(2 * (qn.l + 2 * qn.p) + 10 + extra_degree)
-    psi = evaluate_spinor(qn, bp, (np.sqrt(nodes), 0.0, 0.0, 0.0), include_spin_orbit)
+    psi = evaluate_spinor(qn, bp, (np.sqrt(nodes), 0.0, 0.0, 0.0))
     return nodes, weights, psi
 
 
@@ -299,9 +298,9 @@ def _weighted_sum(weights, nodes, values) -> float:
     return float(np.sum(weights * (values * np.exp(nodes))))
 
 
-def integrated_density_quadrature(qn, bp, include_spin_orbit=True) -> float:
+def integrated_density_quadrature(qn, bp) -> float:
     """Transverse integral of j0 by quadrature of the sampled spinor."""
-    nodes, weights, psi = _node_samples(qn, bp, 0, include_spin_orbit)
+    nodes, weights, psi = _node_samples(qn, bp)
     return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1))
 
 
@@ -313,9 +312,9 @@ def integrated_jz_quadrature(qn, bp) -> float:
     return math.pi * _weighted_sum(weights, nodes, jz)
 
 
-def r2_moment_quadrature(qn, bp, include_spin_orbit=True) -> float:
+def r2_moment_quadrature(qn, bp) -> float:
     """Transverse integral of r^2 Psi^dag Psi by quadrature."""
-    nodes, weights, psi = _node_samples(qn, bp, 2, include_spin_orbit)
+    nodes, weights, psi = _node_samples(qn, bp, 2)
     return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1) * nodes)
 
 
@@ -324,11 +323,10 @@ def _jz_gauge_from_moments(qn: QuantumNumbers, r2: float, density: float) -> flo
     return qn.canonical_jz + r2 / density
 
 
-def gauge_covariant_jz_quadrature(qn, bp, drop_spin_orbit=False) -> float:
+def gauge_covariant_jz_quadrature(qn, bp) -> float:
     """Canonical eigenvalue plus the quadrature mean of r^2."""
-    keep = not drop_spin_orbit
-    return _jz_gauge_from_moments(qn, r2_moment_quadrature(qn, bp, keep),
-                                  integrated_density_quadrature(qn, bp, keep))
+    return _jz_gauge_from_moments(qn, r2_moment_quadrature(qn, bp),
+                                  integrated_density_quadrature(qn, bp))
 
 
 def magnetic_moment_quadrature(qn, bp) -> float:

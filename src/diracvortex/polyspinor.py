@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import clifford
-from .states import BeamParameters, QuantumNumbers, energy
+from .states import BeamParameters, QuantumNumbers, energy, spinor_columns
 
 ELECTRON_CHARGE = -1.0
 
@@ -105,9 +105,6 @@ class PolyGaussSpinor:
 
     def __rmul__(self, scalar):
         return self._like(self.coeffs * scalar)
-
-    def __neg__(self):
-        return self._like(-self.coeffs)
 
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max()) if self.coeffs.size else 0.0
@@ -394,52 +391,44 @@ def _scalar_poly2(l: int, oam_sign: int, p: int) -> np.ndarray:
     return _poly2_mul(_vortex_poly2(l, oam_sign), _radial_poly2(_laguerre_series(p, l)))
 
 
-def state_to_polyspinor(qn: QuantumNumbers, bp: BeamParameters,
-                        include_spin_orbit: bool = True,
-                        energy_shift: float = 0.0) -> PolyGaussSpinor:
-    """Exact polynomial form of a closed-form state (requires beB > 0).
+def _columns_to_polyspinor(bp: BeamParameters, en: float, oam_sign: int,
+                           columns) -> PolyGaussSpinor:
+    """Sum over (column, l, p) of each {component: entry} times the mode's polynomial.
 
-    The main column holds the state's scalar mode and the mixing column the
-    partner's.  ``energy_shift`` displaces the energy entering both the
-    phase and the bispinor entries, used as a sensitivity control: a
-    shifted state must fail the Dirac equation loudly.
+    Requires beB > 0.  The box is sized by the non-empty columns.
     """
     if bp.beB <= 0.0:
         raise ValueError("polynomial conversion needs beB > 0")
-    en = energy(qn, bp).total + energy_shift
-    m, k = bp.m, bp.k
-    scale = math.sqrt(bp.beB / 2.0)
-    main2 = _scalar_poly2(qn.l, qn.oam_sign, qn.p)
-    spin_up = qn.spin_sign > 0
-    so_factor, so_l, so_p = qn.spin_orbit_mixing
-    so2 = _scalar_poly2(so_l, qn.oam_sign, so_p)
-    amp = 1j * math.sqrt(2.0 * bp.beB) * so_factor
+    modes = [(column, _scalar_poly2(l, oam_sign, p)) for column, l, p in columns if column]
+    n = max(poly.shape[0] for _, poly in modes)
+    coeffs = np.zeros((4, n, n, 1, 1), dtype=complex)
+    for column, poly in modes:
+        for c, entry in column.items():
+            coeffs[c, :poly.shape[0], :poly.shape[1], 0, 0] = entry * poly
+    return PolyGaussSpinor(coeffs, en, bp.k, bp.m, math.sqrt(bp.beB / 2.0))
 
-    nuv = max(main2.shape + so2.shape)
-    coeffs = np.zeros((4, nuv, nuv, 1, 1), dtype=complex)
-    if spin_up:
-        coeffs[0, :main2.shape[0], :main2.shape[1], 0, 0] = (m + en) * main2
-        coeffs[2, :main2.shape[0], :main2.shape[1], 0, 0] = k * main2
-        so_component = 3
-    else:
-        coeffs[1, :main2.shape[0], :main2.shape[1], 0, 0] = (m + en) * main2
-        coeffs[3, :main2.shape[0], :main2.shape[1], 0, 0] = -k * main2
-        so_component = 2
-    if include_spin_orbit:
-        coeffs[so_component, :so2.shape[0], :so2.shape[1], 0, 0] = amp * so2
-    return PolyGaussSpinor(coeffs, en, k, m, scale).trimmed()
+
+def state_to_polyspinor(qn: QuantumNumbers, bp: BeamParameters,
+                        energy_shift: float = 0.0) -> PolyGaussSpinor:
+    """Exact polynomial form of a closed-form state (requires beB > 0).
+
+    The two ``spinor_columns`` hold the state's and the partner's scalar
+    modes.  ``energy_shift`` displaces the energy entering both the phase
+    and the bispinor entries, used as a sensitivity control: a shifted
+    state must fail the Dirac equation loudly.
+    """
+    en = energy(qn, bp).total + energy_shift
+    main, mixing = spinor_columns(qn, bp, en)
+    _, l2, p2 = qn.spin_orbit_mixing
+    return _columns_to_polyspinor(bp, en, qn.oam_sign,
+                                  ((main, qn.l, qn.p), (mixing, l2, p2)))
 
 
 def scalar_state_to_polyspinor(qn: QuantumNumbers, bp: BeamParameters,
                                component: int) -> PolyGaussSpinor:
     """Scalar vortex profile times one basis bispinor, in polynomial form."""
-    if bp.beB <= 0.0:
-        raise ValueError("polynomial conversion needs beB > 0")
-    pol = _scalar_poly2(qn.l, qn.oam_sign, qn.p)
-    coeffs = np.zeros((4, pol.shape[0], pol.shape[1], 1, 1), dtype=complex)
-    coeffs[component, :, :, 0, 0] = pol
-    return PolyGaussSpinor(coeffs, energy(qn, bp).total, bp.k, bp.m,
-                           math.sqrt(bp.beB / 2.0))
+    return _columns_to_polyspinor(bp, energy(qn, bp).total, qn.oam_sign,
+                                  (({component: 1.0}, qn.l, qn.p),))
 
 
 def landau_field(bp: BeamParameters) -> FieldConfig:
@@ -447,14 +436,13 @@ def landau_field(bp: BeamParameters) -> FieldConfig:
 
 
 def dirac_residual(qn: QuantumNumbers, bp: BeamParameters,
-                   energy_shift: float = 0.0,
-                   include_spin_orbit: bool = True) -> float:
+                   energy_shift: float = 0.0) -> float:
     """Relative coefficient residual of (Pslash - m) on a closed-form state.
 
     The denominator is the largest coefficient among the five operator terms,
     so the number is meaningful across twelve orders of magnitude in beB.
     """
-    f = state_to_polyspinor(qn, bp, include_spin_orbit, energy_shift)
+    f = state_to_polyspinor(qn, bp, energy_shift)
     terms = _dirac_terms(f, landau_field(bp))
     total = _sum(terms, f)
     denom = max(t.max_abs() for t in terms)
@@ -478,9 +466,8 @@ def landau_eigen_residual(f: PolyGaussSpinor, bp: BeamParameters,
 
 
 def random_polyspinor(rng: np.random.Generator, degree: int = 4,
-                      zt_degree: int = 1, energy: float = 1.3, kz: float = 0.7,
-                      mass: float = 1.0, scale: float = 1.0) -> PolyGaussSpinor:
+                      zt_degree: int = 1) -> PolyGaussSpinor:
     """Random dense test spinor of bounded degree, coefficients O(1)."""
     shape = (4, degree + 1, degree + 1, zt_degree + 1, zt_degree + 1)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return PolyGaussSpinor(coeffs, energy, kz, mass, scale)
+    return PolyGaussSpinor(coeffs, 1.3, 0.7, 1.0)

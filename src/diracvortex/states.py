@@ -55,12 +55,10 @@ class QuantumNumbers:
 
     @property
     def spin_orbit_mixing(self):
-        """(amplitude, l', p') of the opposite-spin mixing column.
+        """(amplitude, l', p') of the opposite-spin mixing column (``spinor_columns``).
 
-        The column is amplitude * i sqrt(2 beB) times the scalar mode
-        r^l' e^{-r^2/2} L_p'^l'(r^2) of the partner state, with its phase
-        twisted by e^{+-i phi}.  The protected ground family (spin<0,
-        OAM<=0, p=0) is the one with p' = -1: no partner and no mixing.
+        (l', p') labels the partner's scalar mode.  The protected ground family
+        (spin<0, OAM<=0, p=0) is the one with p' = -1: no partner and no mixing.
         """
         return _SPIN_ORBIT_MIXING[self.family](self.l, self.p)
 
@@ -147,48 +145,49 @@ def scalar_mode(qn: QuantumNumbers, bp: BeamParameters, point) -> complex:
     return complex(radial * phase)
 
 
-def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point,
-                    include_spin_orbit: bool = True) -> np.ndarray:
+def spinor_columns(qn: QuantumNumbers, bp: BeamParameters, en: float):
+    """The bispinor at energy ``en`` as two {component: entry} maps (main, mixing).
+
+    A state is the main column (m + E, +-k) times its scalar mode plus the
+    mixing column (i sqrt(2 beB) times the family amplitude, opposite spin)
+    times the partner's mode of ``spin_orbit_mixing``, twisted by e^{+-i phi}.
+    The mixing column is empty for the ground family (p' = -1).
+    """
+    amplitude, _, p2 = qn.spin_orbit_mixing
+    spin_up = qn.spin_sign > 0
+    main = {0: bp.m + en, 2: bp.k} if spin_up else {1: bp.m + en, 3: -bp.k}
+    mixing = {3 if spin_up else 2: math.sqrt(2.0 * bp.beB) * 1j * amplitude} if p2 >= 0 else {}
+    return main, mixing
+
+
+def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point) -> np.ndarray:
     """The exact four-component solution at spacetime points, unnormalised.
 
     Each entry of ``point = (r, phi, z, t)`` may be a scalar or an array; the
     entries broadcast, and the returned complex component array carries the
     broadcast shape with the spinor index last: (4,) for a single point,
-    (..., 4) for arrays.
-
-    The value is the main bispinor column (entries m + E and +-k) times the
-    scalar mode plus the opposite-spin mixing column: the partner's scalar
-    mode times i sqrt(2 beB) and the family amplitude (``spin_orbit_mixing``).
-    ``include_spin_orbit=False`` drops the mixing term, which is used by the
-    half-integer angular-momentum checks.  For the ground family (spin<0,
-    OAM<=0, p=0) p' = -1 and the mixing term is identically zero.
+    (..., 4) for arrays.  The components are the two ``spinor_columns``
+    times the state's and the partner's scalar modes.
     """
     r, phi, z, t = (np.asarray(c, dtype=float) for c in point)
     if np.any(r < 0.0):
         raise ValueError("radius must be >= 0")
     en = energy(qn, bp).total
-    m, k = bp.m, bp.k
     envelope = np.exp(-0.5 * r * r)
     carrier = np.exp(1j * (bp.k * z - en * t))
     vortex = np.exp(1j * qn.oam_sign * qn.l * phi)
     main = r**qn.l * eval_laguerre(qn.p, qn.l, r * r) * envelope * carrier * vortex
 
     comp = np.zeros(np.shape(main) + (4,), dtype=complex)
-    spin_up = qn.spin_sign > 0
-    if spin_up:
-        comp[..., 0] = (m + en) * main
-        comp[..., 2] = k * main
-    else:
-        comp[..., 1] = (m + en) * main
-        comp[..., 3] = -k * main
-
-    if include_spin_orbit:
-        amplitude, l2, p2 = qn.spin_orbit_mixing
+    main_column, mixing_column = spinor_columns(qn, bp, en)
+    for c, entry in main_column.items():
+        comp[..., c] = entry * main
+    _, l2, p2 = qn.spin_orbit_mixing
+    for c, entry in mixing_column.items():
         # e^{+i phi} for spin up, e^{-i phi} for spin down
         twist = np.exp(1j * qn.spin_sign * phi)
-        so = (math.sqrt(2.0 * bp.beB) * 1j * amplitude * r**l2 * eval_laguerre(p2, l2, r * r)
-              * envelope * carrier * vortex * twist)
-        comp[..., 3 if spin_up else 2] = so
+        comp[..., c] = (entry * r**l2 * eval_laguerre(p2, l2, r * r)
+                        * envelope * carrier * vortex * twist)
     return comp
 
 

@@ -52,6 +52,15 @@ class TestCurrents:
             assert batch.shape == single.shape == (4, 9)
             assert np.max(np.abs(batch - single)) <= 1e-14 * np.max(single[0])
 
+    def test_single_radius_matches_array_path(self):
+        # a 0-d radius must give the bits of the same radius inside an array
+        r = np.linspace(0.01, 5.0, 200)
+        for qn in sample_states(6, 6):
+            batch = obs.current_profile(qn, BP, r)
+            for i, x in enumerate(r):
+                single = obs.current_profile(qn, BP, x)
+                assert all(got == want[i] for got, want in zip(single, batch)), (qn, x)
+
     def test_density_nonnegative(self):
         grid = np.linspace(0.0, 5.0, 257)
         for qn in sample_states(3, 3):
@@ -241,8 +250,15 @@ class TestAngularMomentum:
                 assert abs(val - round(2 * val) / 2) <= 1e-12
 
     def test_dropped_variant_matches_quadrature(self):
+        # zero the mixing column (component 3 for spin up, 2 for spin down) of
+        # spinors sampled at Gauss-Laguerre nodes in x = r^2, then take the
+        # canonical eigenvalue plus the mean of r^2 over the remaining density
         for qn in sample_states(2, 2):
-            quad = obs.gauge_covariant_jz_quadrature(qn, BP, drop_spin_orbit=True)
+            nodes, weights = np.polynomial.laguerre.laggauss(2 * (qn.l + 2 * qn.p) + 12)
+            psi = evaluate_spinor(qn, BP, (np.sqrt(nodes), 0.0, 0.0, 0.0))
+            psi[:, 3 if qn.spin_sign > 0 else 2] = 0.0
+            density = weights * np.exp(nodes) * np.sum(np.abs(psi)**2, axis=1)
+            quad = qn.canonical_jz + np.sum(density * nodes) / np.sum(density)
             assert obs.gauge_covariant_jz(qn, BP, drop_spin_orbit=True) == pytest.approx(
                 quad, abs=1e-9)
 

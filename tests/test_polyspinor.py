@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracvortex import clifford, observables as obs, polyspinor as ps
-from diracvortex.states import BeamParameters, QuantumNumbers, energy
+from diracvortex.states import (BeamParameters, QuantumNumbers, energy, evaluate_spinor,
+                                iter_states)
 
 BP = BeamParameters(beB=0.37, m=1.0, k=0.8)
 RNG = np.random.default_rng(2718)
@@ -188,12 +189,17 @@ class TestDiracResidual:
         assert ps.dirac_residual(qn, BP, energy_shift=0.1) > 1e-3
 
     def test_spin_orbit_term_is_required(self):
-        # dropping the mixing term breaks the equation except for the
-        # protected ground family, where it vanishes anyway
-        qn = QuantumNumbers(1, 1, 1, 1)
-        assert ps.dirac_residual(qn, BP, include_spin_orbit=False) > 1e-3
-        ground = QuantumNumbers(-1, -1, 2, 0)
-        assert ps.dirac_residual(ground, BP, include_spin_orbit=False) <= 1e-12
+        # dropping the mixing column (component 3 for spin up, 2 for spin
+        # down) breaks the equation except for the protected ground family,
+        # where it vanishes anyway
+        def dropped_residual(qn):
+            g = ps.state_to_polyspinor(qn, BP)
+            g.coeffs[3 if qn.spin_sign > 0 else 2] = 0.0
+            return ps.relative_residual(ps.apply_dirac(g, ps.landau_field(BP)),
+                                        ps.zero_like(g), g)
+
+        assert dropped_residual(QuantumNumbers(1, 1, 1, 1)) > 1e-3
+        assert dropped_residual(QuantumNumbers(-1, -1, 2, 0)) <= 1e-12
 
     def test_scalar_squared_equation(self):
         for qn, comp in ((QuantumNumbers(1, 1, 2, 3), 0),
@@ -206,6 +212,25 @@ class TestDiracResidual:
         bp = BeamParameters(beB=0.0, m=1.0, k=0.5)
         with pytest.raises(ValueError):
             ps.state_to_polyspinor(QuantumNumbers(1, 1, 1, 1), bp)
+
+
+class TestStateConversion:
+    def test_polynomial_form_is_pointwise_spinor(self):
+        # polynomial in u = r cos phi, v = r sin phi times the envelope
+        # e^{-r^2/2} e^{i(kz - Et)}, against the closed form at random points
+        rng = np.random.default_rng(31)
+        r, phi, z, t = rng.uniform([0.0, -np.pi, -2.0, -2.0], [3.0, np.pi, 2.0, 2.0],
+                                   (12, 4)).T
+        u, v = r * np.cos(phi), r * np.sin(phi)
+        for bp in (BP, BeamParameters(beB=2.0, m=1.0, k=0.0),
+                   BeamParameters(beB=1e-3, m=1.0, k=3.0)):
+            for qn in iter_states(6, 6):
+                f = ps.state_to_polyspinor(qn, bp)
+                envelope = np.exp(-0.5 * r * r + 1j * (f.kz * z - f.energy * t))
+                poly = np.stack([np.polynomial.polynomial.polyval2d(u, v, c[:, :, 0, 0])
+                                 for c in f.coeffs], axis=-1) * envelope[:, None]
+                exact = evaluate_spinor(qn, bp, (r, phi, z, t))
+                assert np.max(np.abs(poly - exact)) <= 1e-11 * np.max(np.abs(exact)), qn
 
 
 class TestAngularMomentumOperators:

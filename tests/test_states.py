@@ -165,8 +165,6 @@ class TestSpinor:
         assert evaluate_spinor(qn, BP, (1.0, 0.5, 0.0, 0.0)).shape == (4,)
         r = np.linspace(0.0, 3.0, 7)
         assert evaluate_spinor(qn, BP, (r, 0.5, 0.1, 0.2)).shape == (7, 4)
-        assert evaluate_spinor(qn, BP, (r, 0.5, 0.1, 0.2),
-                               include_spin_orbit=False).shape == (7, 4)
 
     def test_negative_radius_in_array_rejected(self):
         r = np.array([0.5, 1.0, -1e-12, 2.0])
