@@ -37,6 +37,11 @@ def quantum_numbers_from_signed(l_signed: int, p: int, spin: str) -> QuantumNumb
     return QuantumNumbers(spin_sign, oam_sign, l, p)
 
 
+def _label(qn: QuantumNumbers):
+    """(spin word, signed l): the inverse of ``quantum_numbers_from_signed``."""
+    return "up" if qn.spin_sign > 0 else "down", qn.oam_sign * qn.l
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -81,29 +86,24 @@ def _emit(meta, columns, rows, fmt, out):
 
 
 def _beam(args) -> BeamParameters:
-    beb = beb_over_m2(args.B, args.m_kev)
-    return BeamParameters(beB=beb, m=1.0, k=args.k_over_m)
+    return BeamParameters(beB=beb_over_m2(args.B, args.m_kev), m=1.0, k=args.k_over_m)
 
 
-def _common_meta(args, qn=None, bp=None):
+def _common_meta(args, bp, qn=None):
     meta = {
         "tool": "diracvortex",
         "version": __version__,
         "B_tesla": args.B,
         "m_kev": args.m_kev,
         "k_over_m": args.k_over_m,
-        "beB_over_m2": beb_over_m2(args.B, args.m_kev),
+        "beB_over_m2": bp.beB,
         "unit_radius_nm": magnetic_length_m(args.B) * 1e9,
         "units": "natural units, m = 1; radii rescaled by sqrt(beB/2)",
     }
     if qn is not None:
-        meta.update({
-            "spin": "up" if qn.spin_sign > 0 else "down",
-            "l_signed": qn.oam_sign * qn.l,
-            "p": qn.p,
-        })
-    if bp is not None:
-        meta["energy_over_m"] = energy(qn, bp).total
+        spin, l_signed = _label(qn)
+        meta.update({"spin": spin, "l_signed": l_signed, "p": qn.p,
+                     "energy_over_m": energy(qn, bp).total})
     return meta
 
 
@@ -113,11 +113,11 @@ def run_profile(args) -> int:
     r = np.linspace(0.0, args.rmax, args.samples)
     prof = obs.radial_profile(qn, bp, r, normalized=args.normalized,
                               physical_dr=args.physical_dr)
-    meta = _common_meta(args, qn, bp)
+    meta = _common_meta(args, bp, qn)
     meta["normalized"] = args.normalized
     meta["current_element"] = "dz x dr" if args.physical_dr else "dz x dr_rescaled"
     columns = ("r", "j0", "jz", "jphi", "s_phi")
-    rows = list(zip(prof.r, prof.j0, prof.jz, prof.jphi, prof.s_phi))
+    rows = list(zip(r, prof.j0, prof.jz, prof.jphi, prof.s_phi))
     _emit(meta, columns, rows, args.format, args.out)
     return 0
 
@@ -127,7 +127,7 @@ def run_figure(args) -> int:
     r = np.linspace(0.0, args.rmax, args.samples)
     columns = ["r"]
     series = [r]
-    meta = _common_meta(args)
+    meta = _common_meta(args, bp)
     meta["normalized"] = args.normalized
     for label, l_signed, p in FIGURE_CASES:
         for spin in ("up", "down"):
@@ -146,20 +146,15 @@ def run_figure(args) -> int:
 
 def run_spectrum(args) -> int:
     bp = _beam(args)
-    entries = spectrum_table(bp, args.max_levels)
     columns = ("spin", "l_signed", "p", "jz_canonical", "interaction_sq_over_beB",
                "energy_over_m", "partner")
     rows = []
-    for e in entries:
-        qn = e.qn
-        if e.partner is None:
-            partner = "none"
-        else:
-            pq = e.partner
-            partner = f"{'up' if pq.spin_sign > 0 else 'down'}:{pq.oam_sign * pq.l}:{pq.p}"
-        rows.append(("up" if qn.spin_sign > 0 else "down", qn.oam_sign * qn.l, qn.p,
-                     e.canonical_jz, 2 * qn.interaction_index, e.energy.total, partner))
-    _emit(_common_meta(args), columns, rows, args.format, args.out)
+    for qn in spectrum_table(args.max_levels):
+        pq = qn.spin_orbit_partner()
+        partner = "none" if pq is None else "{}:{}:{}".format(*_label(pq), pq.p)
+        rows.append((*_label(qn), qn.p, qn.canonical_jz, 2 * qn.interaction_index,
+                     energy(qn, bp).total, partner))
+    _emit(_common_meta(args, bp), columns, rows, args.format, args.out)
     return 0
 
 
@@ -171,8 +166,7 @@ def run_table(args) -> int:
                "jz_canonical", "jz_gauge", "jz_gauge_dropped", "mz_per_abs_e",
                "prob_up", "prob_down"]
     mz = obs.magnetic_moment(qn, bp) if bp.beB > 0 else 0.0
-    row = ["up" if qn.spin_sign > 0 else "down", qn.oam_sign * qn.l, qn.p,
-           energy(qn, bp).total, obs.integrated_density(qn, bp),
+    row = [*_label(qn), qn.p, energy(qn, bp).total, obs.integrated_density(qn, bp),
            obs.integrated_jz(qn, bp), qn.canonical_jz,
            obs.gauge_covariant_jz(qn, bp),
            obs.gauge_covariant_jz(qn, bp, drop_spin_orbit=True),
@@ -181,7 +175,7 @@ def run_table(args) -> int:
         for name, closed, quad in obs.closed_and_quadrature(qn, bp):
             columns.append(f"err_{name}")
             row.append(abs(closed - quad) / max(1.0, abs(closed)))
-    _emit(_common_meta(args, qn, bp), columns, [row], args.format, args.out)
+    _emit(_common_meta(args, bp, qn), columns, [row], args.format, args.out)
     return 0
 
 
@@ -276,6 +270,7 @@ def main(argv=None) -> int:
 
 
 def _validate(args):
+    """Input rules the library does not check (it rejects bad p, B and max-levels)."""
     for name in ("B", "k_over_m", "m_kev", "rmax"):
         if not math.isfinite(getattr(args, name, 0.0)):
             raise ValueError(f"--{name.replace('_', '-')} must be finite")
@@ -283,12 +278,7 @@ def _validate(args):
         raise ValueError("samples must be >= 2")
     if getattr(args, "rmax", 1.0) <= 0.0:
         raise ValueError("rmax must be > 0")
-    if getattr(args, "p", 0) < 0:
-        raise ValueError("p must be >= 0")
-    if getattr(args, "B", 0.0) < 0.0:
-        raise ValueError("B must be >= 0")
-    if getattr(args, "max_levels", 1) < 1:
-        raise ValueError("max-levels must be >= 1")
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -18,12 +18,11 @@ import numpy as np
 from . import clifford
 from .laguerre import eval_laguerre, factorial_ratio, gauss_laguerre_nodes, positive_roots
 from .states import (BeamParameters, QuantumNumbers, energy, evaluate_spinor,
-                     normalization_constant)
+                     integrated_density, normalization_constant)
 
 
 @dataclass(frozen=True)
 class CurrentSample:
-    r: float
     j0: float
     jr: float
     jphi: float
@@ -32,7 +31,6 @@ class CurrentSample:
 
 @dataclass(frozen=True)
 class SpinTextureSample:
-    r: float
     s_r: float
     s_phi: float
     s_z: float
@@ -50,15 +48,10 @@ class ReducedSpinState:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    qn: QuantumNumbers
-    bp: BeamParameters
-    r: np.ndarray
     j0: np.ndarray
     jz: np.ndarray
     jphi: np.ndarray
     s_phi: np.ndarray
-    normalized: bool = False
-    physical_dr: bool = False
 
 
 def current_profile(qn: QuantumNumbers, bp: BeamParameters, r):
@@ -89,7 +82,7 @@ def current_profile(qn: QuantumNumbers, bp: BeamParameters, r):
 def current_density(qn: QuantumNumbers, bp: BeamParameters, r: float) -> CurrentSample:
     """Closed-form current components at a single radius."""
     j0, jr, jphi, jz = current_profile(qn, bp, np.array([r]))
-    return CurrentSample(float(r), float(j0[0]), float(jr[0]), float(jphi[0]), float(jz[0]))
+    return CurrentSample(float(j0[0]), float(jr[0]), float(jphi[0]), float(jz[0]))
 
 
 def current_from_spinor(qn: QuantumNumbers, bp: BeamParameters, point):
@@ -104,12 +97,6 @@ def current_from_spinor(qn: QuantumNumbers, bp: BeamParameters, point):
     gr, gphi = clifford.gamma_cylindrical(point[1])
     return tuple(np.real(np.einsum("...i,...ij,...j->...", psi.conj(), mat, psi))
                  for mat in (clifford.IDENTITY4, g0 @ gr, g0 @ gphi, g0 @ clifford.GAMMA3))
-
-
-def integrated_density(qn: QuantumNumbers, bp: BeamParameters) -> float:
-    """Transverse integral of j0 for the unnormalised state: 2 pi E (E+m) (l+p)!/p!."""
-    en = energy(qn, bp).total
-    return 2.0 * math.pi * en * (en + bp.m) * factorial_ratio(qn.l, qn.p)
 
 
 def integrated_density_longform(qn: QuantumNumbers, bp: BeamParameters) -> float:
@@ -145,7 +132,7 @@ def spin_texture(qn: QuantumNumbers, bp: BeamParameters, r: float) -> SpinTextur
     s_phi = _azimuthal_spin(qn, bp, current_density(qn, bp, r).jphi)
     psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0))
     s_z = 0.5 * float(np.real(np.vdot(psi, clifford.SIGMA_Z @ psi)))
-    return SpinTextureSample(float(r), 0.0, float(s_phi), s_z)
+    return SpinTextureSample(0.0, float(s_phi), s_z)
 
 
 def _delta(qn: QuantumNumbers, bp: BeamParameters) -> float:
@@ -378,7 +365,6 @@ def closed_and_quadrature(qn: QuantumNumbers, bp: BeamParameters):
 def radial_profile(qn: QuantumNumbers, bp: BeamParameters, r,
                    normalized: bool = False, physical_dr: bool = False) -> RadialProfile:
     """Sampled (j0, jz, jphi, S_phi) over a radial grid, ready for serialisation."""
-    r = np.asarray(r, dtype=float)
     j0, _, jphi, jz = current_profile(qn, bp, r)
     s_phi = _azimuthal_spin(qn, bp, jphi)
     scale = 1.0
@@ -387,5 +373,4 @@ def radial_profile(qn: QuantumNumbers, bp: BeamParameters, r,
     if physical_dr:
         jphi = jphi * math.sqrt(bp.beB / 2.0)
         s_phi = s_phi * math.sqrt(bp.beB / 2.0)
-    return RadialProfile(qn, bp, r, j0 * scale, jz * scale, jphi * scale,
-                         s_phi * scale, normalized, physical_dr)
+    return RadialProfile(j0 * scale, jz * scale, jphi * scale, s_phi * scale)

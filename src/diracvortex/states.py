@@ -135,7 +135,11 @@ def energy(qn: QuantumNumbers, bp: BeamParameters) -> EnergyDecomposition:
 
 
 def scalar_mode(qn: QuantumNumbers, bp: BeamParameters, point) -> complex:
-    """Scalar vortex profile r^l e^{-r^2/2} L_p^l(r^2) e^{i(kz - Et +- l phi)}."""
+    """Scalar vortex profile r^l e^{-r^2/2} L_p^l(r^2) e^{i(kz - Et +- l phi)}.
+
+    Kept apart from ``evaluate_spinor`` on purpose: the tests' independent
+    oracle for both spinor columns, which a shared helper would not be.
+    """
     r, phi, z, t = point
     if r < 0.0:
         raise ValueError("radius must be >= 0")
@@ -176,8 +180,11 @@ def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point) -> np.ndarray
     envelope = np.exp(-0.5 * r * r)
     carrier = np.exp(1j * (bp.k * z - en * t))
     vortex = np.exp(1j * qn.oam_sign * qn.l * phi)
-    main = r**qn.l * eval_laguerre(qn.p, qn.l, r * r) * envelope * carrier * vortex
 
+    def mode(lead, l, p):
+        return lead * r**l * eval_laguerre(p, l, r * r) * envelope * carrier * vortex
+
+    main = mode(1.0, qn.l, qn.p)
     comp = np.zeros(np.shape(main) + (4,), dtype=complex)
     main_column, mixing_column = spinor_columns(qn, bp, en)
     for c, entry in main_column.items():
@@ -185,31 +192,23 @@ def evaluate_spinor(qn: QuantumNumbers, bp: BeamParameters, point) -> np.ndarray
     _, l2, p2 = qn.spin_orbit_mixing
     for c, entry in mixing_column.items():
         # e^{+i phi} for spin up, e^{-i phi} for spin down
-        twist = np.exp(1j * qn.spin_sign * phi)
-        comp[..., c] = (entry * r**l2 * eval_laguerre(p2, l2, r * r)
-                        * envelope * carrier * vortex * twist)
+        comp[..., c] = mode(entry, l2, p2) * np.exp(1j * qn.spin_sign * phi)
     return comp
 
 
-def normalization_constant(qn: QuantumNumbers, bp: BeamParameters) -> float:
-    """Multiplier making the transverse integral of the density equal one.
-
-    The unnormalised integral is 2 pi E (E + m) (l+p)!/p! per unit length.
-    """
+def integrated_density(qn: QuantumNumbers, bp: BeamParameters) -> float:
+    """Transverse integral of j0 for the unnormalised state: 2 pi E (E+m) (l+p)!/p!."""
     en = energy(qn, bp).total
-    return 1.0 / math.sqrt(2.0 * math.pi * en * (en + bp.m) * factorial_ratio(qn.l, qn.p))
+    return 2.0 * math.pi * en * (en + bp.m) * factorial_ratio(qn.l, qn.p)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    qn: QuantumNumbers
-    energy: EnergyDecomposition
-    canonical_jz: float
-    partner: QuantumNumbers | None
+def normalization_constant(qn: QuantumNumbers, bp: BeamParameters) -> float:
+    """Multiplier making the transverse integral of the density equal one."""
+    return 1.0 / math.sqrt(integrated_density(qn, bp))
 
 
-def spectrum_table(bp: BeamParameters, max_levels: int):
-    """Enumerate the low-lying levels sorted by (canonical J_z, squared energy).
+def spectrum_table(max_levels: int):
+    """The low-lying states, sorted by (canonical J_z, squared energy).
 
     Includes every state whose Landau plus Zeeman squared energy is below
     2 beB max_levels, i.e. interaction index <= max_levels - 1.  Because that
@@ -218,14 +217,13 @@ def spectrum_table(bp: BeamParameters, max_levels: int):
     total angular momentum, matching a level scheme truncated symmetrically).
     With max_levels = 1 only the protected p = 0 ground family survives.
 
-    Each entry carries the opposite-spin partner sharing (squared energy,
-    canonical J_z); the ground family, which has none, gets partner = None.
+    Order and membership depend on the quantum numbers only, not on the
+    field: callers take energies from ``energy`` and the degenerate
+    opposite-spin partner from ``QuantumNumbers.spin_orbit_partner``.
     """
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    entries = [SpectrumEntry(qn, energy(qn, bp), qn.canonical_jz, qn.spin_orbit_partner())
-               for qn in iter_states(max_levels, max_levels - 1)
-               if qn.interaction_index <= max_levels - 1]
-    entries.sort(key=lambda e: (round(2 * e.canonical_jz), e.qn.interaction_index,
-                                FAMILIES.index(e.qn.family), e.qn.l, e.qn.p))
-    return entries
+    return sorted((qn for qn in iter_states(max_levels, max_levels - 1)
+                   if qn.interaction_index <= max_levels - 1),
+                  key=lambda qn: (round(2 * qn.canonical_jz), qn.interaction_index,
+                                  FAMILIES.index(qn.family), qn.l, qn.p))

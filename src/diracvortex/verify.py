@@ -285,19 +285,17 @@ def gordon_checks():
 
 
 def spectrum_checks():
-    bp = BEAM
-    table = spectrum_table(bp, 6)
     worst = 0.0
-    for entry in table:
-        if entry.partner is None:
-            ok = entry.qn.family == (-1, -1) and entry.qn.p == 0
+    for qn in spectrum_table(6):
+        pq = qn.spin_orbit_partner()
+        if pq is None:
+            ok = qn.family == (-1, -1) and qn.p == 0
             worst = max(worst, 0.0 if ok else 1.0)
             continue
-        pq = entry.partner
         worst = max(worst,
-                    abs(energy(pq, bp).interaction_sq - entry.energy.interaction_sq),
-                    abs(pq.canonical_jz - entry.canonical_jz),
-                    0.0 if pq.spin_sign == -entry.qn.spin_sign else 1.0)
+                    abs(energy(pq, BEAM).interaction_sq - energy(qn, BEAM).interaction_sq),
+                    abs(pq.canonical_jz - qn.canonical_jz),
+                    0.0 if pq.spin_sign == -qn.spin_sign else 1.0)
     return [Check("spectrum_partner_degeneracy", worst, 1e-12)]
 
 

@@ -11,12 +11,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from diracvortex import cli, clifford, laguerre, observables as obs, polyspinor as ps
 from diracvortex.constants import magnetic_length_m
-from diracvortex.states import (FAMILIES, BeamParameters, QuantumNumbers, energy,
-                                evaluate_spinor)
+from diracvortex.states import FAMILIES, BeamParameters, QuantumNumbers, evaluate_spinor
 
 PARAMETER_SETS = [BeamParameters(beB=1e-10, m=1.0, k=1.0),
                   BeamParameters(beB=0.1, m=1.0, k=1.0),

@@ -276,6 +276,16 @@ class TestUsageErrors:
         assert text == ""
         assert "overflow at large l or p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["profile", "--p", "-1"], ["table", "--p", "-1"],
+                                      ["profile", "--B", "-1"], ["figure", "--B", "-1"],
+                                      ["spectrum", "--B", "-1"], ["table", "--B", "-1"],
+                                      ["spectrum", "--max-levels", "0"]])
+    def test_rejected_by_the_library(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["frobnicate"])

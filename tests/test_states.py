@@ -215,49 +215,49 @@ class TestNormalization:
 
 class TestSpectrum:
     def test_max_levels_one_is_ground_family_only(self):
-        entries = spectrum_table(BP, 1)
-        assert entries
+        states = spectrum_table(1)
+        assert states
         base = math.sqrt(BP.m**2 + BP.k**2)
-        for e in entries:
-            assert e.qn.family == (-1, -1) and e.qn.p == 0
-            assert e.energy.total == base
-            assert e.partner is None
+        for qn in states:
+            assert qn.family == (-1, -1) and qn.p == 0
+            assert energy(qn, BP).total == base
+            assert qn.spin_orbit_partner() is None
 
     def test_partner_none_only_for_protected_ground_states(self):
-        for e in spectrum_table(BP, 5):
-            if e.partner is None:
-                assert e.qn.family == (-1, -1) and e.qn.p == 0
+        for qn in spectrum_table(5):
+            if qn.spin_orbit_partner() is None:
+                assert qn.family == (-1, -1) and qn.p == 0
 
     def test_partners_share_energy_and_jz(self):
-        for e in spectrum_table(BP, 6):
-            if e.partner is None:
+        for qn in spectrum_table(6):
+            pq = qn.spin_orbit_partner()
+            if pq is None:
                 continue
-            pq = e.partner
-            assert pq.spin_sign == -e.qn.spin_sign
+            assert pq.spin_sign == -qn.spin_sign
             assert energy(pq, BP).interaction_sq == pytest.approx(
-                e.energy.interaction_sq, rel=1e-14)
-            assert pq.canonical_jz == e.canonical_jz
+                energy(qn, BP).interaction_sq, rel=1e-14)
+            assert pq.canonical_jz == qn.canonical_jz
 
     def test_partner_is_involutive(self):
-        for e in spectrum_table(BP, 5):
-            if e.partner is not None:
-                assert e.partner.spin_orbit_partner() == e.qn
+        for qn in spectrum_table(5):
+            pq = qn.spin_orbit_partner()
+            if pq is not None:
+                assert pq.spin_orbit_partner() == qn
 
     def test_every_positive_spin_level_has_a_partner(self):
-        for e in spectrum_table(BP, 6):
-            if e.qn.spin_sign > 0:
-                assert e.partner is not None
+        for qn in spectrum_table(6):
+            if qn.spin_sign > 0:
+                assert qn.spin_orbit_partner() is not None
 
     def test_sorted_by_jz_then_energy(self):
-        entries = spectrum_table(BP, 5)
-        keys = [(round(2 * e.canonical_jz), e.qn.interaction_index) for e in entries]
+        states = spectrum_table(5)
+        keys = [(round(2 * qn.canonical_jz), qn.interaction_index) for qn in states]
         assert keys == sorted(keys)
 
     def test_no_duplicate_states(self):
-        entries = spectrum_table(BP, 6)
-        labels = [e.qn for e in entries]
-        assert len(labels) == len(set(labels))
+        states = spectrum_table(6)
+        assert len(states) == len(set(states))
 
     def test_squared_energy_column_spacing(self):
-        steps = sorted({2 * e.qn.interaction_index for e in spectrum_table(BP, 5)})
+        steps = sorted({2 * qn.interaction_index for qn in spectrum_table(5)})
         assert steps == list(range(0, 2 * 5 - 1, 2))
