@@ -4,12 +4,18 @@ Evaluation uses the upward three-term recurrence in the degree, which is
 accurate for the small degrees (p up to a few tens) this package needs.
 The p = -1 polynomial is identically zero by convention; it shows up in
 derivative formulas and in the ground-family spinors.
+
+The Gauss-Laguerre rule is computed with numpy alone: Golub-Welsch
+eigenvalues, one Newton step and log-normalised weights, in the order
+scipy.special.roots_laguerre takes them, so nodes and weights carry the same
+bits as scipy's.  That step keeps its own recurrence in x (scipy's
+eval_genlaguerre at superscript 0), because eval_laguerre above rounds
+differently for every degree >= 2.
 """
 
 import functools
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 #: largest l + p accepted by factorial_ratio before double overflow risk
 FACTORIAL_GUARD = 170
@@ -64,13 +70,53 @@ def check_recurrences(p: int, l: int, x: float) -> float:
     return max(r1, r2)
 
 
+def _laguerre_pair(n: int, x):
+    """L_{n-1}(x) and L_n(x) for n >= 1, by scipy's eval_genlaguerre recurrence.
+
+    L_{n-1} is the loop's intermediate; it has the bits that a run to
+    degree n - 1 alone would give.
+    """
+    d = -x
+    prev, cur = np.ones_like(x), d + 1.0
+    for k in range(1, n):
+        d = -x / (k + 1.0) * cur + (k / (k + 1.0)) * d
+        prev, cur = cur, d + cur
+    return prev, cur
+
+
+def _log_centred(a):
+    """a over the geometric midpoint of its largest and smallest magnitudes."""
+    log_a = np.log(np.abs(a))
+    return a / np.exp((log_a.max() + log_a.min()) / 2.0)
+
+
 @functools.lru_cache(maxsize=None)
 def gauss_laguerre_nodes(degree: int):
     """Nodes and weights integrating x^d e^{-x} on [0, inf) exactly for d <= degree.
 
+    The n = degree // 2 + 1 nodes are the eigenvalues of the Jacobi matrix of
+    L_n (Golub & Welsch, Math. Comp. 23, 221 (1969)), refined by one Newton
+    step; the weights 1 / (L_{n-1}(x) L_n'(x)) are log-normalised and then
+    scaled to sum to 1.  Each step follows scipy.special.roots_laguerre, so
+    the result is that function's byte for byte.  The weights first overflow
+    at n = 364 (degree 726): n L_{n-1} exceeds the double range at the
+    largest nodes, and numpy warns (RuntimeWarning) where scipy does.
+
     Cached by degree; the returned arrays are read-only.
     """
-    nodes, weights = roots_laguerre(degree // 2 + 1)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    n = degree // 2 + 1
+    if n == 1:
+        nodes, weights = np.ones(1), np.ones(1)
+    else:
+        k = np.arange(n, dtype=float)
+        x = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(-k[1:], -1))
+        prev, y = _laguerre_pair(n, x)
+        dy = (n * y - n * prev) / x
+        nodes = x - y / dy
+        weights = 1.0 / (_log_centred(_laguerre_pair(n - 1, nodes)[1]) * _log_centred(dy))
+        weights *= 1.0 / weights.sum()
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

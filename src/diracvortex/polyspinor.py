@@ -109,21 +109,6 @@ class PolyGaussSpinor:
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max()) if self.coeffs.size else 0.0
 
-    def degrees(self):
-        """Maximal retained exponent per coordinate (after trimming zeros)."""
-        nonzero = self.coeffs != 0
-        out = []
-        for axis in range(1, 5):
-            other = tuple(a for a in range(5) if a != axis)
-            mask = np.any(nonzero, axis=other)
-            nz = np.nonzero(mask)[0]
-            out.append(int(nz[-1]) if nz.size else 0)
-        return tuple(out)
-
-    def trimmed(self):
-        du, dv, dz, dt = self.degrees()
-        return self._like(self.coeffs[:, :du + 1, :dv + 1, :dz + 1, :dt + 1])
-
     # primitive coordinate actions (rescaled transverse coordinates)
 
     def _shift(self, axis):
@@ -213,20 +198,6 @@ def relative_residual(lhs: PolyGaussSpinor, rhs: PolyGaussSpinor, *refs) -> floa
     if scale == 0.0:
         return (lhs - rhs).max_abs()
     return (lhs - rhs).max_abs() / scale
-
-
-def is_scalar_multiple(g: PolyGaussSpinor, f: PolyGaussSpinor, tol: float = 1e-10):
-    """Least-squares test whether g = lambda f; returns (verdict, lambda)."""
-    shape = tuple(map(max, f.coeffs.shape, g.coeffs.shape))
-    a = _padded(f.coeffs, shape)
-    b = _padded(g.coeffs, shape)
-    denom = np.vdot(a, a)
-    if denom == 0:
-        return False, 0.0j
-    lam = np.vdot(a, b) / denom
-    resid = np.max(np.abs(b - lam * a))
-    ref = max(np.max(np.abs(b)), abs(lam) * np.max(np.abs(a)))
-    return bool(ref == 0.0 or resid <= tol * ref), complex(lam)
 
 
 # gauge potential and momenta

@@ -1,7 +1,11 @@
-"""Every import in the package modules and the tests is used."""
+"""Every import in the package modules and the tests is used, and the package
+runs without scipy, which only the tests use."""
 
 import ast
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -33,3 +37,31 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports the package from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+
+
+def test_package_imports_no_scipy():
+    run = run_python("import sys; import diracvortex, diracvortex.cli, diracvortex.verify; "
+                     "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == b"[]\n"
+
+
+TABLE_CHECK = ("import sys; from diracvortex import cli; "
+               "sys.exit(cli.main(['table', '--l', '2', '--p', '3', '--check']))")
+
+
+def test_cli_runs_with_scipy_blocked():
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    blocked = run_python("import sys; sys.modules['scipy'] = None; " + TABLE_CHECK)
+    normal = run_python(TABLE_CHECK)
+    assert blocked.returncode == 0, blocked.stderr.decode()
+    assert normal.returncode == 0, normal.stderr.decode()
+    assert blocked.stdout == normal.stdout != b""

@@ -1,5 +1,5 @@
 """Laguerre evaluation against independent oracles: series sums, finite
-differences, scipy's own evaluator and node solver, and explicit integrals."""
+differences, scipy's own evaluator and node solvers, and explicit integrals."""
 
 import math
 from fractions import Fraction
@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import eval_genlaguerre, roots_genlaguerre
+from scipy.special import eval_genlaguerre, roots_genlaguerre, roots_laguerre
 
 from diracvortex import laguerre
 
@@ -245,6 +245,22 @@ def test_roots_interlace_when_raising_superscript():
             upper = laguerre.positive_roots(p, l + 1)
             for a, b, c in zip(lower, upper, lower[1:] + [math.inf]):
                 assert a < b < c
+
+
+def test_gauss_rule_is_scipys_byte_for_byte():
+    # degree 2n - 2 asks for n nodes; under the error::RuntimeWarning gate
+    # this also pins that no overflow occurs below n = 364
+    for n in [*range(1, 181), 250, 300, 347, 363]:
+        nodes, weights = laguerre.gauss_laguerre_nodes(2 * n - 2)
+        ref_nodes, ref_weights = roots_laguerre(n)
+        assert nodes.tobytes() == ref_nodes.tobytes(), n
+        assert weights.tobytes() == ref_weights.tobytes(), n
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def test_gauss_rule_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        laguerre.gauss_laguerre_nodes(-1)
 
 
 def test_quadrature_autosizing():
