@@ -238,6 +238,12 @@ def counterflow_rings(qn: QuantumNumbers, bp: BeamParameters):
     return intervals[(len(intervals) - 1) % 2::2]
 
 
+def _jz_bilinear(psi) -> np.ndarray:
+    """j_z = Psi^dag gamma^0 gamma^3 Psi at each row of ``psi`` (shape (n, 4))."""
+    return (2.0 * np.real(np.conj(psi[:, 0]) * psi[:, 2])
+            - 2.0 * np.real(np.conj(psi[:, 1]) * psi[:, 3]))
+
+
 def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
     """Pointwise defect of splitting j_z into convective and spin-curl parts.
 
@@ -258,7 +264,7 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
     m = bp.m
     psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0))
     c0, c1, c2, c3 = psi[:, 0], psi[:, 1], psi[:, 2], psi[:, 3]
-    jz = 2.0 * np.real(np.conj(c0) * c2) - 2.0 * np.real(np.conj(c1) * c3)
+    jz = _jz_bilinear(psi)
     bar_density = (np.abs(c0)**2 + np.abs(c1)**2 - np.abs(c2)**2 - np.abs(c3)**2)
     orbital = bp.k / m * bar_density
     # PsiBar Sigma_phi Psi at phi = 0 is the sigma_y bilinear, upper minus lower block
@@ -294,9 +300,7 @@ def integrated_density_quadrature(qn, bp) -> float:
 def integrated_jz_quadrature(qn, bp) -> float:
     """Transverse integral of j_z by quadrature of the sampled spinor."""
     nodes, weights, psi = _node_samples(qn, bp)
-    jz = (2.0 * np.real(np.conj(psi[:, 0]) * psi[:, 2])
-          - 2.0 * np.real(np.conj(psi[:, 1]) * psi[:, 3]))
-    return math.pi * _weighted_sum(weights, nodes, jz)
+    return math.pi * _weighted_sum(weights, nodes, _jz_bilinear(psi))
 
 
 def r2_moment_quadrature(qn, bp) -> float:

@@ -321,45 +321,24 @@ def dirac_j12_rhs_explicit(field: FieldConfig, f: PolyGaussSpinor) -> PolyGaussS
 
 # conversion of the closed-form states into the polynomial class
 
-def _laguerre_series(p: int, l: int) -> np.ndarray:
-    """Exact coefficients of L_p^l: c_j = (-1)^j binom(p+l, p-j)/j!."""
-    if p < 0:
-        return np.zeros(1)
-    return np.array([(-1.0)**j * math.comb(p + l, p - j) / math.factorial(j)
-                     for j in range(p + 1)])
-
-
-def _radial_poly2(series: np.ndarray) -> np.ndarray:
-    """2-D coefficients (in u, v) of sum_j series[j] (u^2+v^2)^j."""
-    n = len(series)
-    out = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
-    for j, c in enumerate(series):
-        if c == 0.0:
-            continue
-        for a in range(j + 1):
-            out[2 * a, 2 * (j - a)] += c * math.comb(j, a)
-    return out
-
-
-def _vortex_poly2(n: int, sign: int) -> np.ndarray:
-    """2-D coefficients of (u + sign i v)^n."""
-    out = np.zeros((n + 1, n + 1), dtype=complex)
-    for a in range(n + 1):
-        out[a, n - a] = math.comb(n, a) * (sign * 1j)**(n - a)
-    return out
-
-
-def _poly2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
-                   dtype=complex)
-    for i, j in zip(*np.nonzero(a)):
-        out[i:i + b.shape[0], j:j + b.shape[1]] += a[i, j] * b
-    return out
-
-
 def _scalar_poly2(l: int, oam_sign: int, p: int) -> np.ndarray:
-    """2-D coefficients (in u, v) of the scalar mode (u + oam_sign i v)^l L_p^l(u^2+v^2)."""
-    return _poly2_mul(_vortex_poly2(l, oam_sign), _radial_poly2(_laguerre_series(p, l)))
+    """2-D coefficients (in u, v) of the scalar mode (u + oam_sign i v)^l L_p^l(u^2+v^2).
+
+    The radial block holds c_j binom(j, a) at (2a, 2(j-a)), with the Laguerre
+    coefficients c_j = (-1)^j binom(p+l, p-j)/j!.  Each vortex term
+    binom(l, a) (oam_sign i)^(l-a) u^a v^(l-a) adds a scaled copy of it, for
+    a = 0..l in ascending order; the rounded bits depend on that order.
+    """
+    n = 2 * p + 1
+    radial = np.zeros((n, n), dtype=complex)
+    for j in range(p + 1):
+        c = (-1.0)**j * math.comb(p + l, p - j) / math.factorial(j)
+        for a in range(j + 1):
+            radial[2 * a, 2 * (j - a)] += c * math.comb(j, a)
+    out = np.zeros((l + n, l + n), dtype=complex)
+    for a in range(l + 1):
+        out[a:a + n, l - a:l - a + n] += math.comb(l, a) * (oam_sign * 1j)**(l - a) * radial
+    return out
 
 
 def _columns_to_polyspinor(bp: BeamParameters, en: float, oam_sign: int,

@@ -160,18 +160,20 @@ def commutator_checks():
                     worst_dj = max(worst_dj,
                                    ps.commutator_dirac_j_residual(mu, nu, fld, f))
     # component form of the z generator, and the pure-E_z null case
+    def dirac_j12_commutator(f, fld):
+        """[Pslash - m, J_12] f."""
+        return ps.apply_dirac(ps.apply_gauge_covariant_j((1, 2), f, fld), fld) \
+            - ps.apply_gauge_covariant_j((1, 2), ps.apply_dirac(f, fld), fld)
+
     worst_explicit = 0.0
     for fld in fields:
         f = spinors[0]
-        lhs = ps.apply_dirac(ps.apply_gauge_covariant_j((1, 2), f, fld), fld) \
-            - ps.apply_gauge_covariant_j((1, 2), ps.apply_dirac(f, fld), fld)
         worst_explicit = max(worst_explicit,
-                             ps.relative_residual(lhs, ps.dirac_j12_rhs_explicit(fld, f), f))
+                             ps.relative_residual(dirac_j12_commutator(f, fld),
+                                                  ps.dirac_j12_rhs_explicit(fld, f), f))
     fld_ez = ps.FieldConfig(E=(0.0, 0.0, 0.8))
     f = spinors[1]
-    lhs = ps.apply_dirac(ps.apply_gauge_covariant_j((1, 2), f, fld_ez), fld_ez) \
-        - ps.apply_gauge_covariant_j((1, 2), ps.apply_dirac(f, fld_ez), fld_ez)
-    worst_ez = max(ps.relative_residual(lhs, ps.zero_like(f), f),
+    worst_ez = max(ps.relative_residual(dirac_j12_commutator(f, fld_ez), ps.zero_like(f), f),
                    ps.dirac_j12_rhs_explicit(fld_ez, f).max_abs())
     return [Check("gauge_covariant_commutators", worst_jj, 1e-12),
             Check("field_free_closure", worst_b0, 1e-12),
@@ -214,11 +216,8 @@ def ring_checks():
     for qn in cases:
         _, l2, p2 = qn.spin_orbit_mixing
         radii = obs.sign_change_radii(qn)
-        # dense scan oracle
-        if radii:
-            grid = np.linspace(1e-4, radii[-1] + 2.0, 40001)
-        else:
-            grid = np.linspace(1e-4, 6.0, 40001)
+        # dense scan oracle; every case has rings, so radii is never empty
+        grid = np.linspace(1e-4, radii[-1] + 2.0, 40001)
         _, _, jphi, _ = obs.current_profile(qn, bp, grid)
         signs = np.sign(jphi)
         nz = signs != 0

@@ -236,6 +236,19 @@ class TestVerifyCommand:
         payload = json.loads(path.read_text())
         assert any(not c["pass"] for c in payload["checks"])
 
+    def test_csv_report(self, monkeypatch, capsys):
+        checks = [cli.verify_mod.Check("holds", 1e-16, 1e-12),
+                  cli.verify_mod.Check("breaks", 0.5, 1e-12)]
+        monkeypatch.setattr(cli.verify_mod, "run_all", lambda sabotage: checks)
+        assert cli.main(["verify", "--format", "csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["# tool = diracvortex", f"# version = {cli.__version__}",
+                                    "# sabotage = none",
+                                    "name,residual,tolerance,pass",
+                                    "holds,9.9999999999999998e-17,9.9999999999999998e-13,true",
+                                    "breaks,0.5,9.9999999999999998e-13,false"]
+        assert err == "FAIL breaks: residual 5.000e-01 > tolerance 1.0e-12\n"
+
 
 class TestJsonWriter:
     def test_numpy_scalars_keep_their_type(self):

@@ -1,9 +1,12 @@
-"""Every import in the package modules and the tests is used, and the package
-runs without scipy, which only the tests use."""
+"""Every import in the package modules and the tests is used, every function
+the package defines is named somewhere else, and the package runs without
+scipy, which only the tests use."""
 
 import ast
+from collections import Counter
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -37,6 +40,32 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_helpers(package_sources, all_sources):
+    """Functions and methods (dunders excepted) defined in ``package_sources``
+    whose name appears, as a whole word, nowhere in ``all_sources`` but in a def."""
+    defined = {node.name for source in package_sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    text = "\n".join(all_sources)
+    words = Counter(re.findall(r"\w+", text))
+    defs = Counter(re.findall(r"\bdef\s+(\w+)", text))
+    return sorted(name for name in defined if words[name] == defs[name])
+
+
+def test_detects_a_dead_helper():
+    package = "class A:\n    def __init__(self):\n        pass\n    def kept(self):\n        pass\n" \
+              "def used():\n    pass\ndef unused():\n    pass\ndef unused_too():\n    pass\n"
+    caller = "A().kept()\nused()  # unused_tool is another name\n"
+    assert dead_helpers([package], [package, caller]) == ["unused", "unused_too"]
+
+
+def test_no_dead_helpers():
+    package = [p.read_text() for p in sorted((ROOT / "src" / "diracvortex").glob("*.py"))]
+    others = [p.read_text() for folder in ("tests", "perfbench")
+              for p in sorted((ROOT / folder).glob("*.py"))]
+    assert dead_helpers(package, package + others) == []
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

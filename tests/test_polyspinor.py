@@ -1,6 +1,8 @@
 """The exact operator algebra: closure, linearity, momenta, generators and
 the commutator identities, all on machine-precision residuals."""
 
+from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -232,6 +234,57 @@ class TestStateConversion:
                                  for c in f.coeffs], axis=-1) * envelope[:, None]
                 exact = evaluate_spinor(qn, bp, (r, phi, z, t))
                 assert np.max(np.abs(poly - exact)) <= 1e-11 * np.max(np.abs(exact)), qn
+
+
+def exact_scalar_poly2(l, oam_sign, p):
+    """Coefficients of (u + oam_sign i v)^l L_p^l(u^2+v^2) in integer arithmetic.
+
+    Returns {(i, j): [re, im, re_abs_sum, im_abs_sum]}, each a numerator over
+    p!: the exact real and imaginary parts of the u^i v^j coefficient and the
+    sums of the absolute values of the terms that make up each part.
+    Coefficients with no terms are absent.
+    """
+    unit = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k
+    out = {}
+    for j in range(p + 1):
+        laguerre = (-1)**j * math.comb(p + l, p - j) * math.factorial(p) // math.factorial(j)
+        for b in range(j + 1):
+            radial = laguerre * math.comb(j, b)
+            for a in range(l + 1):
+                k = l - a
+                re, im = unit[k % 4]
+                term = math.comb(l, a) * oam_sign**k * radial
+                cell = out.setdefault((a + 2 * b, k + 2 * (j - b)), [0, 0, 0, 0])
+                cell[0] += re * term
+                cell[1] += im * term
+                cell[2] += abs(re * term)
+                cell[3] += abs(im * term)
+    return out
+
+
+class TestScalarPolynomial:
+    TOLERANCE = Fraction(1e-15)
+
+    @pytest.mark.parametrize("oam_sign", [1, -1])
+    def test_matches_integer_arithmetic(self, oam_sign):
+        # a part with no terms is exactly zero and a part with a nonzero exact
+        # value is nonzero; terms that cancel exactly leave only rounding
+        cases = [(l, p) for l in range(11) for p in range(9)] + [(31, 24)]
+        for l, p in cases:
+            poly = ps._scalar_poly2(l, oam_sign, p)
+            assert poly.shape == (l + 2 * p + 1,) * 2
+            exact = exact_scalar_poly2(l, oam_sign, p)
+            denom = math.factorial(p)
+            absent = np.ones(poly.shape, dtype=bool)
+            for (i, j), (re, im, re_abs, im_abs) in exact.items():
+                absent[i, j] = False
+                value = poly[i, j]
+                for part, num, abs_sum in ((value.real, re, re_abs), (value.imag, im, im_abs)):
+                    if abs_sum == 0 or num != 0:
+                        assert (part == 0) == (num == 0), (l, p, i, j)
+                    error = abs(Fraction(part) - Fraction(num, denom))
+                    assert error <= self.TOLERANCE * Fraction(abs_sum, denom), (l, p, i, j)
+            assert not poly[absent].any(), (l, p)
 
 
 class TestAngularMomentumOperators:
