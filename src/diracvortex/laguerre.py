@@ -160,11 +160,19 @@ def positive_roots(p: int, l: int):
     Sign changes are bracketed on a uniform grid below the classical upper
     bound for the largest zero; the grid is refined until all p brackets are
     found (the roots are simple, so a fine enough grid always succeeds).
+    The roots depend on (p, l) alone, not on the beam or the sign family, so
+    each pair is bisected once per process; every call returns a new list.
     """
     if p < 0:
         raise ValueError(f"radial index p must be >= 0, got {p}")
+    return list(_bisected_roots(p, l))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _bisected_roots(p: int, l: int):
+    """positive_roots as a tuple, cached by (p, l) and their types."""
     if p == 0:
-        return []
+        return ()
     upper = 4.0 * p + 2.0 * l + 4.0
     samples = 32 * p
     while True:
@@ -189,4 +197,4 @@ def positive_roots(p: int, l: int):
         lo, flo = np.where(open_ & ~in_left, (mid, fmid), (lo, flo))
     roots = grid[exact].tolist() + (0.5 * (lo + hi)).tolist()
     roots.sort()
-    return roots[:p]
+    return tuple(roots[:p])

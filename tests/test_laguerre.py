@@ -199,11 +199,40 @@ def scalar_bisection_roots(p, l):
 
 
 def test_roots_match_scalar_bisection_bit_for_bit():
-    for p in range(13):
-        for l in range(11):
-            roots = laguerre.positive_roots(p, l)
-            assert roots == scalar_bisection_roots(p, l)
-            assert all(type(r) is float for r in roots)
+    laguerre._bisected_roots.cache_clear()
+    for _ in ("cold", "warm"):
+        for p in range(13):
+            for l in range(11):
+                roots = laguerre.positive_roots(p, l)
+                assert roots == scalar_bisection_roots(p, l)
+                assert all(type(r) is float for r in roots)
+
+
+def test_roots_are_a_new_list_on_every_call():
+    first = laguerre.positive_roots(4, 3)
+    expected = list(first)
+    first[0] = -1.0
+    first.append(99.0)
+    second = laguerre.positive_roots(4, 3)
+    assert second == expected
+    assert second is not first
+
+
+def test_float_index_rejected_before_and_after_integer_is_cached():
+    laguerre._bisected_roots.cache_clear()
+    with pytest.raises(TypeError):
+        laguerre.positive_roots(3.0, 2)
+    laguerre.positive_roots(3, 2)
+    with pytest.raises(TypeError):
+        laguerre.positive_roots(3.0, 2)
+
+
+def test_negative_index_rejected_before_the_cache():
+    laguerre.positive_roots(2, 2)
+    size = laguerre._bisected_roots.cache_info().currsize
+    with pytest.raises(ValueError):
+        laguerre.positive_roots(-1, 2)
+    assert laguerre._bisected_roots.cache_info().currsize == size
 
 
 def test_roots_on_grid_points_are_exact():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from diracvortex import clifford, observables as obs
+from diracvortex import clifford, laguerre, observables as obs
 from diracvortex.laguerre import eval_laguerre
 from diracvortex.states import (FAMILIES, BeamParameters, QuantumNumbers, energy,
                                 evaluate_spinor)
@@ -344,6 +344,22 @@ class TestCounterflow:
     def test_ring_interval_count(self):
         # p = 3: six sign changes for aligned OAM produce three bounded rings
         assert len(obs.counterflow_rings(QuantumNumbers(1, 1, 2, 3), BP)) == 3
+
+    def test_roots_do_not_depend_on_call_order(self):
+        # a factor cached for one family is the partner factor of another
+        cases = [(qn, bp) for qn in sample_states(6, 6)
+                 for bp in (BP, BeamParameters(beB=2.0, m=1.0, k=0.0))]
+
+        def hexes(order):
+            laguerre._bisected_roots.cache_clear()
+            out = {}
+            for qn, bp in order:
+                rings = obs.counterflow_rings(qn, bp)
+                out[qn, bp] = ([r.hex() for r in obs.sign_change_radii(qn)],
+                               [(lo.hex(), hi.hex()) for lo, hi in rings])
+            return out
+
+        assert hexes(cases) == hexes(cases[::-1])
 
 
 class TestGordon:
