@@ -165,6 +165,8 @@ def positive_roots(p: int, l: int):
     """
     if p < 0:
         raise ValueError(f"radial index p must be >= 0, got {p}")
+    if l < 0:
+        raise ValueError(f"order l must be >= 0, got {l}")
     return list(_bisected_roots(p, l))
 
 

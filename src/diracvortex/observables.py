@@ -271,7 +271,7 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
     mag_phi = (2.0 * np.imag(np.conj(c0) * c1) - 2.0 * np.imag(np.conj(c2) * c3)) / (2.0 * m)
     a = r * mag_phi
     da = (a[2:] - a[:-2]) / (r[2:] - r[:-2])
-    curl = math.sqrt(bp.beB / 2.0) * da / r[1:-1]
+    curl = bp.coordinate_scale * da / r[1:-1]
     residual = jz[1:-1] - orbital[1:-1] - curl
     return float(np.max(np.abs(residual)))
 
@@ -375,6 +375,6 @@ def radial_profile(qn: QuantumNumbers, bp: BeamParameters, r,
     if normalized:
         scale *= normalization_constant(qn, bp)**2
     if physical_dr:
-        jphi = jphi * math.sqrt(bp.beB / 2.0)
-        s_phi = s_phi * math.sqrt(bp.beB / 2.0)
+        jphi = jphi * bp.coordinate_scale
+        s_phi = s_phi * bp.coordinate_scale
     return RadialProfile(j0 * scale, jz * scale, jphi * scale, s_phi * scale)

@@ -26,6 +26,9 @@ from .states import BeamParameters, QuantumNumbers, energy, spinor_columns
 
 ELECTRON_CHARGE = -1.0
 
+#: coefficient axis of x^mu for mu = 0..3 = (t, x, y, z)
+_AXIS = (4, 1, 2, 3)
+
 #: spatial rotation generators as tensor index pairs
 AXIS_PAIRS = {"x": (2, 3), "y": (3, 1), "z": (1, 2)}
 _EPSILON = {("x", "y"): ("z", 1.0), ("y", "x"): ("z", -1.0),
@@ -129,45 +132,26 @@ class PolyGaussSpinor:
         powers = np.arange(1, n).reshape(shape)
         return self._like(self.coeffs[tuple(sl)] * powers)
 
-    def mul_u(self):
-        return self._shift(1)
+    def _envelope_derivative(self, axis):
+        """d/du (axis 1) or d/dv (axis 2) in rescaled coordinates; the envelope brings down -u."""
+        return self._poly_derivative(axis) - self._shift(axis)
 
-    def mul_v(self):
-        return self._shift(2)
+    # physical coordinates x^mu, mu = 0..3 = (t, x, y, z); x = u / scale, y = v / scale
 
-    def mul_z(self):
-        return self._shift(3)
+    def mul(self, mu):
+        """x^mu f."""
+        axis = _index(mu, _AXIS)
+        if axis in (1, 2):
+            return (1.0 / self.scale) * self._shift(axis)
+        return self._shift(axis)
 
-    def mul_t(self):
-        return self._shift(4)
-
-    def d_u(self):
-        """Full d/du including the Gaussian envelope (brings down -u)."""
-        return self._poly_derivative(1) - self.mul_u()
-
-    def d_v(self):
-        return self._poly_derivative(2) - self.mul_v()
-
-    def d_z(self):
-        """Full d/dz including the plane-wave factor (brings down +ik)."""
-        return self._poly_derivative(3) + (1j * self.kz) * self
-
-    def d_t(self):
-        return self._poly_derivative(4) + (-1j * self.energy) * self
-
-    # physical coordinates
-
-    def mul_x(self):
-        return (1.0 / self.scale) * self.mul_u()
-
-    def mul_y(self):
-        return (1.0 / self.scale) * self.mul_v()
-
-    def d_x(self):
-        return self.scale * self.d_u()
-
-    def d_y(self):
-        return self.scale * self.d_v()
+    def d(self, mu):
+        """d f / dx^mu, envelope included: the plane wave brings down +ik (z) or -iE (t)."""
+        axis = _index(mu, _AXIS)
+        if axis in (1, 2):
+            return self.scale * self._envelope_derivative(axis)
+        phase = (1j * self.kz) if axis == 3 else (-1j * self.energy)
+        return self._poly_derivative(axis) + phase * self
 
     def apply_matrix(self, mat):
         # the same (4, 4) x (4, N) BLAS product np.tensordot forms, minus its Python overhead
@@ -213,23 +197,23 @@ def _potential_action(mu: int, f: PolyGaussSpinor, field: FieldConfig) -> PolyGa
     """A_mu f with lower index: A_0 = -E.x, A_i = -((1/2) B x r)_i."""
     ex, ey, ez = field.E
     bx, by, bz = field.B
-    terms = _index(mu, (((-ex, f.mul_x), (-ey, f.mul_y), (-ez, f.mul_z)),
-                        ((-0.5 * by, f.mul_z), (0.5 * bz, f.mul_y)),
-                        ((-0.5 * bz, f.mul_x), (0.5 * bx, f.mul_z)),
-                        ((-0.5 * bx, f.mul_y), (0.5 * by, f.mul_x))))
+    terms = _index(mu, (((-ex, 1), (-ey, 2), (-ez, 3)),
+                        ((-0.5 * by, 3), (0.5 * bz, 2)),
+                        ((-0.5 * bz, 1), (0.5 * bx, 3)),
+                        ((-0.5 * bx, 2), (0.5 * by, 1))))
     # a term with a zero coefficient adds only zeros (and a wider box), so it is left out
-    return _sum([coef * mul() for coef, mul in terms if coef], f)
+    return _sum([coef * f.mul(nu) for coef, nu in terms if coef], f)
 
 
 def apply_gauge_momentum(mu: int, f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
     """P_mu f = (i d_mu - e A_mu) f, lower index, charge e = -1."""
-    grad = 1j * _index(mu, (f.d_t, f.d_x, f.d_y, f.d_z))()
+    grad = 1j * f.d(mu)
     return grad + (-ELECTRON_CHARGE) * _potential_action(mu, f, field)
 
 
 def _coordinate_lower(mu: int, f: PolyGaussSpinor) -> PolyGaussSpinor:
     """x_mu f with the index down: (t, -x, -y, -z)."""
-    x_mu = _index(mu, (f.mul_t, f.mul_x, f.mul_y, f.mul_z))()
+    x_mu = f.mul(mu)
     return x_mu if mu == 0 else -1.0 * x_mu
 
 
@@ -246,7 +230,7 @@ def apply_dirac(f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
 
 def apply_canonical_jz(f: PolyGaussSpinor) -> PolyGaussSpinor:
     """(-i d/dphi + Sigma_z/2) f; the angular derivative is scale-free."""
-    angular = f.d_v().mul_u() - f.d_u().mul_v()
+    angular = f._envelope_derivative(2)._shift(1) - f._envelope_derivative(1)._shift(2)
     return (-1j) * angular + f.apply_matrix(0.5 * clifford.SIGMA_Z)
 
 
@@ -276,11 +260,9 @@ def commutator_jj_residual(j: str, k: str, field: FieldConfig,
     kj = apply_gauge_covariant_j(j, f, field)
     lhs = apply_gauge_covariant_j(j, jk, field) - apply_gauge_covariant_j(k, kj, field)
     bx, by, bz = field.B
-    xdotb = bx * f.mul_x() + by * f.mul_y() + bz * f.mul_z()
-    coord = {"x": PolyGaussSpinor.mul_x, "y": PolyGaussSpinor.mul_y,
-             "z": PolyGaussSpinor.mul_z}[axis]
+    xdotb = bx * f.mul(1) + by * f.mul(2) + bz * f.mul(3)
     rhs = (1j * eps) * (apply_gauge_covariant_j(axis, f, field)
-                        + ELECTRON_CHARGE * coord(xdotb))
+                        + ELECTRON_CHARGE * xdotb.mul("txyz".index(axis)))
     return relative_residual(lhs, rhs, f, jk, kj)
 
 
@@ -311,11 +293,11 @@ def dirac_j12_rhs_explicit(field: FieldConfig, f: PolyGaussSpinor) -> PolyGaussS
     ex, ey, _ = field.E
     bx, by, bz = field.B
     g = [clifford.gamma(m) for m in range(4)]
-    out = ey * f.apply_matrix(g[0]).mul_x() - ex * f.apply_matrix(g[0]).mul_y()
-    out = out - bz * (f.apply_matrix(g[1]).mul_x() + f.apply_matrix(g[2]).mul_y()
-                      + f.apply_matrix(g[3]).mul_z())
-    out = out + bx * f.apply_matrix(g[3]).mul_x() + by * f.apply_matrix(g[3]).mul_y() \
-        + bz * f.apply_matrix(g[3]).mul_z()
+    out = ey * f.apply_matrix(g[0]).mul(1) - ex * f.apply_matrix(g[0]).mul(2)
+    out = out - bz * (f.apply_matrix(g[1]).mul(1) + f.apply_matrix(g[2]).mul(2)
+                      + f.apply_matrix(g[3]).mul(3))
+    out = out + bx * f.apply_matrix(g[3]).mul(1) + by * f.apply_matrix(g[3]).mul(2) \
+        + bz * f.apply_matrix(g[3]).mul(3)
     return (1j * ELECTRON_CHARGE) * out
 
 
@@ -355,7 +337,7 @@ def _columns_to_polyspinor(bp: BeamParameters, en: float, oam_sign: int,
     for column, poly in modes:
         for c, entry in column.items():
             coeffs[c, :poly.shape[0], :poly.shape[1], 0, 0] = entry * poly
-    return PolyGaussSpinor(coeffs, en, bp.k, bp.m, math.sqrt(bp.beB / 2.0))
+    return PolyGaussSpinor(coeffs, en, bp.k, bp.m, bp.coordinate_scale)
 
 
 def state_to_polyspinor(qn: QuantumNumbers, bp: BeamParameters,

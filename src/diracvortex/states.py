@@ -12,6 +12,7 @@ transverse integral of the probability density equal one per unit length.
 
 from dataclasses import dataclass
 import math
+import operator
 
 import numpy as np
 
@@ -31,6 +32,10 @@ class QuantumNumbers:
     def __post_init__(self):
         if self.spin_sign not in (-1, 1) or self.oam_sign not in (-1, 1):
             raise ValueError("spin_sign and oam_sign must be +1 or -1")
+        try:
+            operator.index(self.l), operator.index(self.p)
+        except TypeError:
+            raise TypeError(f"l and p must be integers, got l={self.l!r}, p={self.p!r}") from None
         if self.l < 0 or self.p < 0:
             raise ValueError("l and p must be >= 0")
         if self.l == 0 and self.spin_sign != self.oam_sign:
@@ -104,6 +109,11 @@ class BeamParameters:
             raise ValueError("beB must be >= 0")
         if self.m <= 0.0:
             raise ValueError("mass must be > 0")
+
+    @property
+    def coordinate_scale(self) -> float:
+        """sqrt(beB/2): the rescaled radius per unit physical radius."""
+        return math.sqrt(self.beB / 2.0)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,20 @@ REJECTIONS = {
     "positive_roots_negative_index": (
         lambda: laguerre.positive_roots(-1, 2),
         ValueError, "radial index p must be >= 0, got -1"),
+    "positive_roots_negative_order": (
+        lambda: laguerre.positive_roots(3, -1), ValueError, "order l must be >= 0, got -1"),
+    "quantum_numbers_fractional_l": (
+        lambda: QuantumNumbers(1, 1, 2.5, 1),
+        TypeError, "l and p must be integers, got l=2.5, p=1"),
+    "quantum_numbers_fractional_p": (
+        lambda: QuantumNumbers(1, 1, 2, 1.5),
+        TypeError, "l and p must be integers, got l=2, p=1.5"),
+    "polyspinor_mul_index": (
+        lambda: ps.random_polyspinor(np.random.default_rng(0)).mul(4),
+        ValueError, "index must be 0..3, got 4"),
+    "polyspinor_d_index": (
+        lambda: ps.random_polyspinor(np.random.default_rng(0)).d(-1),
+        ValueError, "index must be 0..3, got -1"),
     "coupling_nonpositive_mass": (
         lambda: beb_over_m2(1.0, 0.0), ValueError, "mass energy must be > 0"),
     "magnetic_length_negative_field": (
@@ -67,3 +81,7 @@ def test_rejects_input(case):
 def test_no_rings_without_field():
     assert obs.counterflow_rings(QN, BP)
     assert obs.counterflow_rings(QN, NO_FIELD) == []
+
+
+def test_numpy_integer_quantum_numbers_accepted():
+    assert QuantumNumbers(1, 1, np.int64(2), np.int32(1)) == QuantumNumbers(1, 1, 2, 1)

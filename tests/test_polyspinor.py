@@ -110,11 +110,35 @@ class TestFastPathOracles:
 
     def test_shift_is_pad_on_every_axis(self):
         f = random_f(degree=3, zt=2, seed=50)
-        for axis, shifted in ((1, f.mul_u()), (2, f.mul_v()), (3, f.mul_z()), (4, f.mul_t())):
+        for axis, shifted in ((1, f.mul(1)), (2, f.mul(2)), (3, f.mul(3)), (4, f.mul(0))):
             pad = [(0, 0)] * 5
             pad[axis] = (1, 0)
             assert shifted.coeffs.shape == np.pad(f.coeffs, pad).shape
             assert np.array_equal(shifted.coeffs, np.pad(f.coeffs, pad))
+
+    def test_mul_and_d_are_explicit_numpy(self):
+        # mu = 0..3 acts on coefficient axes 4, 1, 2, 3; x and y carry the scale
+        f = ps.state_to_polyspinor(QuantumNumbers(-1, 1, 2, 1), BP)
+        g = ps.PolyGaussSpinor(random_f(degree=3, zt=2, seed=56).coeffs,
+                               f.energy, f.kz, f.mass, f.scale)
+        s = f.scale
+        assert s == math.sqrt(BP.beB / 2.0) != 1.0
+        for h in (f, g):
+            c = h.coeffs
+            for mu, axis in enumerate((4, 1, 2, 3)):
+                n = c.shape[axis]
+                before, after = [(0, 0)] * 5, [(0, 0)] * 5
+                before[axis], after[axis] = (1, 0), (0, 1)
+                shifted = np.pad(c, before)
+                powers = np.arange(1, n).reshape([n - 1 if a == axis else 1 for a in range(5)])
+                deriv = np.pad(np.take(c, range(1, n), axis=axis) * powers, after)
+                if axis in (1, 2):
+                    mul, d = shifted * (1.0 / s), (np.pad(deriv, after) - shifted) * s
+                else:
+                    phase = 1j * h.kz if axis == 3 else -1j * h.energy
+                    mul, d = shifted, deriv + c * phase
+                assert np.array_equal(h.mul(mu).coeffs, mul)
+                assert np.array_equal(h.d(mu).coeffs, d)
 
     def test_add_equal_shapes(self):
         f, g = random_f(seed=51), random_f(seed=52)
@@ -138,10 +162,10 @@ class TestFastPathOracles:
     def _full_potential(mu, f, fld):
         """Every term of A_mu f, zero field components included."""
         (ex, ey, ez), (bx, by, bz) = fld.E, fld.B
-        return {0: (-ex) * f.mul_x() + (-ey) * f.mul_y() + (-ez) * f.mul_z(),
-                1: (-0.5 * by) * f.mul_z() + (0.5 * bz) * f.mul_y(),
-                2: (-0.5 * bz) * f.mul_x() + (0.5 * bx) * f.mul_z(),
-                3: (-0.5 * bx) * f.mul_y() + (0.5 * by) * f.mul_x()}[mu]
+        return {0: (-ex) * f.mul(1) + (-ey) * f.mul(2) + (-ez) * f.mul(3),
+                1: (-0.5 * by) * f.mul(3) + (0.5 * bz) * f.mul(2),
+                2: (-0.5 * bz) * f.mul(1) + (0.5 * bx) * f.mul(3),
+                3: (-0.5 * bx) * f.mul(2) + (0.5 * by) * f.mul(1)}[mu]
 
     def test_potential_skips_only_zero_terms(self):
         f = random_f(degree=3, zt=1, seed=54)
@@ -324,7 +348,7 @@ class TestAngularMomentumOperators:
         f = ps.state_to_polyspinor(QuantumNumbers(1, 1, 1, 1), BP)
         withfield = ps.apply_gauge_covariant_j("z", f, ps.landau_field(BP))
         canonical = ps.apply_canonical_jz(f)
-        r2f = f.mul_u().mul_u() + f.mul_v().mul_v()
+        r2f = f._shift(1)._shift(1) + f._shift(2)._shift(2)
         assert ps.relative_residual(withfield, canonical + r2f, f) <= 1e-14
 
     def test_expectation_matches_observables_route(self):
