@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from . import observables as obs
-from . import verify as verify_mod
 from .constants import beb_over_m2, magnetic_length_m
 from .states import BeamParameters, QuantumNumbers, energy, spectrum_table
 
@@ -180,6 +179,7 @@ def run_table(args) -> int:
 
 
 def run_verify(args) -> int:
+    from . import verify as verify_mod
     checks = verify_mod.run_all(sabotage=args.sabotage)
     meta = {"tool": "diracvortex", "version": __version__,
             "sabotage": args.sabotage or "none"}

@@ -30,7 +30,13 @@ def beb_over_m2(b_tesla: float, m_kev: float = 511.0) -> float:
         raise ValueError("mass energy must be > 0")
     beb_j2 = HBAR_J_S * SPEED_OF_LIGHT_M_S**2 * ELEMENTARY_CHARGE_C * b_tesla
     m_j = m_kev * KEV_TO_J
-    return beb_j2 / (m_j * m_j)
+    m_j2 = m_j * m_j
+    if m_j2 == 0.0:
+        raise ValueError("mass energy squared underflows to 0")
+    ratio = beb_j2 / m_j2
+    if not math.isfinite(ratio):
+        raise ValueError("beB / m^2 is not finite")
+    return ratio
 
 
 def magnetic_length_m(b_tesla: float) -> float:

@@ -397,7 +397,7 @@ def landau_eigen_residual(f: PolyGaussSpinor, bp: BeamParameters,
     return relative_residual(lhs, rhs, f)
 
 
-def random_polyspinor(rng: np.random.Generator, degree: int = 4,
+def random_polyspinor(rng: "np.random.Generator", degree: int = 4,
                       zt_degree: int = 1) -> PolyGaussSpinor:
     """Random dense test spinor of bounded degree, coefficients O(1)."""
     shape = (4, degree + 1, degree + 1, zt_degree + 1, zt_degree + 1)

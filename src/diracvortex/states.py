@@ -105,6 +105,9 @@ class BeamParameters:
     k: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("beB", self.beB), ("mass", self.m), ("k", self.k)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.beB < 0.0:
             raise ValueError("beB must be >= 0")
         if self.m <= 0.0:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracvortex import cli
+from diracvortex import cli, verify
 from diracvortex.constants import beb_over_m2, magnetic_length_m
 
 #: sha256 of the stdout of pinned command lines, shared with the benchmark
@@ -237,9 +237,8 @@ class TestVerifyCommand:
         assert any(not c["pass"] for c in payload["checks"])
 
     def test_csv_report(self, monkeypatch, capsys):
-        checks = [cli.verify_mod.Check("holds", 1e-16, 1e-12),
-                  cli.verify_mod.Check("breaks", 0.5, 1e-12)]
-        monkeypatch.setattr(cli.verify_mod, "run_all", lambda sabotage: checks)
+        checks = [verify.Check("holds", 1e-16, 1e-12), verify.Check("breaks", 0.5, 1e-12)]
+        monkeypatch.setattr(verify, "run_all", lambda sabotage: checks)
         assert cli.main(["verify", "--format", "csv"]) == 1
         out, err = capsys.readouterr()
         assert out.splitlines() == ["# tool = diracvortex", f"# version = {cli.__version__}",
@@ -292,7 +291,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [["profile", "--p", "-1"], ["table", "--p", "-1"],
                                       ["profile", "--B", "-1"], ["figure", "--B", "-1"],
                                       ["spectrum", "--B", "-1"], ["table", "--B", "-1"],
-                                      ["spectrum", "--max-levels", "0"]])
+                                      ["spectrum", "--max-levels", "0"],
+                                      ["profile", "--m-kev", "1e-160"],
+                                      ["table", "--m-kev", "1e-160"],
+                                      ["spectrum", "--m-kev", "1e-160"]])
     def test_rejected_by_the_library(self, argv, capsys):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Every import in the package modules and the tests is used, every function
-the package defines is named somewhere else, and the package runs without
-scipy, which only the tests use."""
+the package defines is named somewhere else, the package runs without
+scipy, which only the tests use, and only ``verify`` loads the verify suite
+and ``numpy.random``."""
 
 import ast
 from collections import Counter
@@ -79,6 +80,13 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 def test_package_imports_no_scipy():
     run = run_python("import sys; import diracvortex, diracvortex.cli, diracvortex.verify; "
                      "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == b"[]\n"
+
+
+def test_startup_leaves_out_verify_and_numpy_random():
+    run = run_python("import sys; import diracvortex, diracvortex.cli; "
+                     "print([m for m in ('numpy.random', 'diracvortex.verify') if m in sys.modules])")
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout == b"[]\n"
 

@@ -1,5 +1,7 @@
 """Library entry points reject inputs they cannot honour, with a named error."""
 
+import functools
+import math
 import re
 
 import numpy as np
@@ -64,11 +66,23 @@ REJECTIONS = {
     "polyspinor_d_index": (
         lambda: ps.random_polyspinor(np.random.default_rng(0)).d(-1),
         ValueError, "index must be 0..3, got -1"),
+    "coupling_mass_squared_underflow": (
+        lambda: beb_over_m2(1.0, 1e-160), ValueError, "mass energy squared underflows to 0"),
+    "coupling_overflow": (
+        lambda: beb_over_m2(1e300, 1e-100), ValueError, "beB / m^2 is not finite"),
+    "coupling_nan_field": (
+        lambda: beb_over_m2(math.nan), ValueError, "beB / m^2 is not finite"),
     "coupling_nonpositive_mass": (
         lambda: beb_over_m2(1.0, 0.0), ValueError, "mass energy must be > 0"),
     "magnetic_length_negative_field": (
         lambda: magnetic_length_m(-1.0), ValueError, "magnetic field must be >= 0"),
 }
+REJECTIONS.update({
+    f"beam_{label}_{field}": (
+        functools.partial(BeamParameters, **{"beB": 0.37, "m": 1.0, "k": 0.8, field: value}),
+        ValueError, f"{name} must be finite")
+    for field, name in (("beB", "beB"), ("m", "mass"), ("k", "k"))
+    for label, value in (("nan", math.nan), ("inf", math.inf), ("neg_inf", -math.inf))})
 
 
 @pytest.mark.parametrize("case", sorted(REJECTIONS))
