@@ -22,6 +22,8 @@ from .states import BeamParameters, QuantumNumbers, energy, spectrum_table
 #: preset panels for ``figure``: (label, signed l, p); the third case is the
 #: protected ground state whose azimuthal current vanishes identically
 FIGURE_CASES = (("a", 2, 3), ("b", -2, 3), ("c", -2, 0))
+#: most radii ``profile`` and ``figure`` sample (one row each)
+MAX_SAMPLES = 10**6
 
 
 def quantum_numbers_from_signed(l_signed: int, p: int, spin: str) -> QuantumNumbers:
@@ -276,6 +278,8 @@ def _validate(args):
             raise ValueError(f"--{name.replace('_', '-')} must be finite")
     if getattr(args, "samples", 2) < 2:
         raise ValueError("samples must be >= 2")
+    if getattr(args, "samples", 2) > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}")
     if getattr(args, "rmax", 1.0) <= 0.0:
         raise ValueError("rmax must be > 0")
 

@@ -26,6 +26,8 @@ def beb_over_m2(b_tesla: float, m_kev: float = 511.0) -> float:
     """
     if b_tesla < 0.0:
         raise ValueError("magnetic field must be >= 0")
+    if not math.isfinite(m_kev):
+        raise ValueError("mass energy must be finite")
     if m_kev <= 0.0:
         raise ValueError("mass energy must be > 0")
     beb_j2 = HBAR_J_S * SPEED_OF_LIGHT_M_S**2 * ELEMENTARY_CHARGE_C * b_tesla
@@ -45,6 +47,8 @@ def magnetic_length_m(b_tesla: float) -> float:
     This is sqrt(2 hbar / (|e| B)); about 36 nm at one Tesla.  B = 0 maps to
     an infinite length.
     """
+    if not math.isfinite(b_tesla):
+        raise ValueError("magnetic field must be finite")
     if b_tesla < 0.0:
         raise ValueError("magnetic field must be >= 0")
     if b_tesla == 0.0:

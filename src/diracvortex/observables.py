@@ -291,22 +291,37 @@ def _weighted_sum(weights, nodes, values) -> float:
     return float(np.sum(weights * (values * np.exp(nodes))))
 
 
+# Gauss sums over one sampling (``_node_samples``), shared by the public
+# companions and by ``closed_and_quadrature``.
+
+def _density_sum(samples) -> float:
+    nodes, weights, psi = samples
+    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1))
+
+
+def _jz_sum(samples) -> float:
+    nodes, weights, psi = samples
+    return math.pi * _weighted_sum(weights, nodes, _jz_bilinear(psi))
+
+
+def _r2_sum(samples) -> float:
+    nodes, weights, psi = samples
+    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1) * nodes)
+
+
 def integrated_density_quadrature(qn, bp) -> float:
     """Transverse integral of j0 by quadrature of the sampled spinor."""
-    nodes, weights, psi = _node_samples(qn, bp)
-    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1))
+    return _density_sum(_node_samples(qn, bp))
 
 
 def integrated_jz_quadrature(qn, bp) -> float:
     """Transverse integral of j_z by quadrature of the sampled spinor."""
-    nodes, weights, psi = _node_samples(qn, bp)
-    return math.pi * _weighted_sum(weights, nodes, _jz_bilinear(psi))
+    return _jz_sum(_node_samples(qn, bp))
 
 
 def r2_moment_quadrature(qn, bp) -> float:
     """Transverse integral of r^2 Psi^dag Psi by quadrature."""
-    nodes, weights, psi = _node_samples(qn, bp, 2)
-    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1) * nodes)
+    return _r2_sum(_node_samples(qn, bp, 2))
 
 
 def _jz_gauge_from_moments(qn: QuantumNumbers, r2: float, density: float) -> float:
@@ -328,7 +343,11 @@ def magnetic_moment_quadrature(qn, bp) -> float:
     """
     if bp.beB <= 0.0:
         raise ValueError("magnetic moment requires beB > 0")
-    nodes, weights, psi = _node_samples(qn, bp, 2)
+    return _moment_sum(_node_samples(qn, bp, 2), bp)
+
+
+def _moment_sum(samples, bp: BeamParameters) -> float:
+    nodes, weights, psi = samples
     _, gphi = clifford.gamma_cylindrical(0.0)
     mat = clifford.GAMMA0 @ gphi
     jphi = np.real(np.einsum("ni,ij,nj->n", np.conj(psi), mat, psi))
@@ -350,19 +369,20 @@ def closed_and_quadrature(qn: QuantumNumbers, bp: BeamParameters):
     """(name, closed form, quadrature companion) for every cross-checked observable.
 
     The integrated density comes first.  The magnetic moment needs beB > 0
-    and is left out at beB = 0.  The density and r^2 integrals are sampled
-    once and also give the jz_gauge companion.
+    and is left out at beB = 0.  Each Gauss rule is sampled once: the base
+    rule gives the density and j_z, the rule of degree +2 the r^2 moment and
+    the moment; the density and r^2 integrals also give jz_gauge.
     """
-    density = integrated_density_quadrature(qn, bp)
-    r2 = r2_moment_quadrature(qn, bp)
+    base, wide = _node_samples(qn, bp), _node_samples(qn, bp, 2)
+    density, r2 = _density_sum(base), _r2_sum(wide)
     pairs = [
         ("int_j0", integrated_density(qn, bp), density),
-        ("int_jz", integrated_jz(qn, bp), integrated_jz_quadrature(qn, bp)),
+        ("int_jz", integrated_jz(qn, bp), _jz_sum(base)),
         ("r2_moment", r2_moment(qn, bp), r2),
         ("jz_gauge", gauge_covariant_jz(qn, bp), _jz_gauge_from_moments(qn, r2, density)),
     ]
     if bp.beB > 0:
-        pairs.append(("mz", magnetic_moment(qn, bp), magnetic_moment_quadrature(qn, bp)))
+        pairs.append(("mz", magnetic_moment(qn, bp), _moment_sum(wide, bp)))
     return pairs
 
 

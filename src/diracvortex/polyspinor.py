@@ -17,6 +17,7 @@ part.  Under this convention the four closed-form states solve
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -34,6 +35,9 @@ AXIS_PAIRS = {"x": (2, 3), "y": (3, 1), "z": (1, 2)}
 _EPSILON = {("x", "y"): ("z", 1.0), ("y", "x"): ("z", -1.0),
             ("y", "z"): ("x", 1.0), ("z", "y"): ("x", -1.0),
             ("z", "x"): ("y", 1.0), ("x", "z"): ("y", -1.0)}
+#: the cyclic pairs of rotation generators, and the index pairs mu < nu of J_{mu nu}
+_CYCLIC_PAIRS = (("x", "y"), ("y", "z"), ("z", "x"))
+_INDEX_PAIRS = tuple((mu, nu) for mu in range(4) for nu in range(mu + 1, 4))
 
 
 @dataclass(frozen=True)
@@ -217,6 +221,11 @@ def _coordinate_lower(mu: int, f: PolyGaussSpinor) -> PolyGaussSpinor:
     return x_mu if mu == 0 else -1.0 * x_mu
 
 
+def _momenta(f: PolyGaussSpinor, field: FieldConfig, mus):
+    """{mu: P_mu f} for each index of ``mus``, to build several operators from."""
+    return {mu: apply_gauge_momentum(mu, f, field) for mu in mus}
+
+
 def _dirac_terms(f: PolyGaussSpinor, field: FieldConfig):
     """The five terms gamma^mu P_mu f (mu = 0..3) and -m f, summed in this order."""
     return ([apply_gauge_momentum(mu, f, field).apply_matrix(clifford.gamma(mu))
@@ -234,6 +243,12 @@ def apply_canonical_jz(f: PolyGaussSpinor) -> PolyGaussSpinor:
     return (-1j) * angular + f.apply_matrix(0.5 * clifford.SIGMA_Z)
 
 
+def _generator(mu: int, nu: int, f: PolyGaussSpinor, pf) -> PolyGaussSpinor:
+    """J_{mu nu} f from the momentum images pf[mu] = P_mu f."""
+    orbital = _coordinate_lower(mu, pf[nu]) - _coordinate_lower(nu, pf[mu])
+    return orbital + f.apply_matrix(0.5j * clifford.sigma_tensor(mu, nu))
+
+
 def apply_gauge_covariant_j(key, f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
     """Gauge-covariant angular momentum J_{mu nu} = x_[mu P_nu] + (i/2) sigma_{mu nu}.
 
@@ -243,9 +258,22 @@ def apply_gauge_covariant_j(key, f: PolyGaussSpinor, field: FieldConfig) -> Poly
     values produced by the quadrature route.
     """
     mu, nu = AXIS_PAIRS[key] if isinstance(key, str) else key
-    orbital = (_coordinate_lower(mu, apply_gauge_momentum(nu, f, field))
-               - _coordinate_lower(nu, apply_gauge_momentum(mu, f, field)))
-    return orbital + f.apply_matrix(0.5j * clifford.sigma_tensor(mu, nu))
+    return _generator(mu, nu, f, _momenta(f, field, (mu, nu)))
+
+
+def _spatial_j(f: PolyGaussSpinor, field: FieldConfig, keys):
+    """{key: J_key f} for the axis names ``keys``, sharing the momentum images of f."""
+    pf = _momenta(f, field, sorted({mu for key in keys for mu in AXIS_PAIRS[key]}))
+    return {key: _generator(*AXIS_PAIRS[key], f, pf) for key in keys}
+
+
+def _jj_identity(j, k, f, jf, jjf, xdotb) -> float:
+    """[J_j, J_k] = i eps_{jkl} (J_l + e x_l (x.B)) on f, from the images
+    jf[a] = J_a f, jjf[a, b] = J_a J_b f and xdotb = (x.B) f."""
+    axis, eps = _EPSILON[(j, k)]
+    lhs = jjf[j, k] - jjf[k, j]
+    rhs = (1j * eps) * (jf[axis] + ELECTRON_CHARGE * xdotb.mul("txyz".index(axis)))
+    return relative_residual(lhs, rhs, f, jf[k], jf[j])
 
 
 def commutator_jj_residual(j: str, k: str, field: FieldConfig,
@@ -255,33 +283,62 @@ def commutator_jj_residual(j: str, k: str, field: FieldConfig,
     With e = -1 the anomaly is -x_l (x.B): the rotation generators close
     only when the magnetic field vanishes.
     """
-    axis, eps = _EPSILON[(j, k)]
-    jk = apply_gauge_covariant_j(k, f, field)
-    kj = apply_gauge_covariant_j(j, f, field)
-    lhs = apply_gauge_covariant_j(j, jk, field) - apply_gauge_covariant_j(k, kj, field)
+    return commutator_jj_residuals(field, f, ((j, k),))[0]
+
+
+def commutator_jj_residuals(field: FieldConfig, f: PolyGaussSpinor, pairs=_CYCLIC_PAIRS):
+    """``commutator_jj_residual`` for each (j, k) of ``pairs``, each image of f formed once."""
+    jf = _spatial_j(f, field, "xyz")
+    jjf = {}
+    for b in "xyz":
+        outer = {a for pair in pairs if b in pair for a in pair if a != b}
+        jjf.update(((a, b), image) for a, image in _spatial_j(jf[b], field, outer).items())
     bx, by, bz = field.B
     xdotb = bx * f.mul(1) + by * f.mul(2) + bz * f.mul(3)
-    rhs = (1j * eps) * (apply_gauge_covariant_j(axis, f, field)
-                        + ELECTRON_CHARGE * xdotb.mul("txyz".index(axis)))
-    return relative_residual(lhs, rhs, f, jk, kj)
+    return [_jj_identity(j, k, f, jf, jjf, xdotb) for j, k in pairs]
+
+
+def _dirac_j_identity(mu, nu, f, fs, xgf, jf, df, djf, jdf) -> float:
+    """[Pslash - m, J_{mu nu}] = i e x_[mu F_nu]lambda gamma^lambda on f, from the
+    field strength fs and the images xgf[rho, lambda] = x_rho gamma^lambda f,
+    jf = J_{mu nu} f, df = (Pslash - m) f, djf = (Pslash - m) jf and jdf = J_{mu nu} df."""
+    lhs = djf - jdf
+    terms = []
+    for lam in range(4):
+        if fs[nu, lam]:
+            terms.append(fs[nu, lam] * xgf[mu, lam])
+        if fs[mu, lam]:
+            terms.append(-1.0 * (fs[mu, lam] * xgf[nu, lam]))
+    rhs = (1j * ELECTRON_CHARGE) * _sum(terms, f)
+    return relative_residual(lhs, rhs, f, jf, df)
 
 
 def commutator_dirac_j_residual(mu: int, nu: int, field: FieldConfig,
                                 f: PolyGaussSpinor) -> float:
     """Residual of [Pslash - m, J_{mu nu}] = i e x_[mu F_nu]lambda gamma^lambda on f."""
-    jf = apply_gauge_covariant_j((mu, nu), f, field)
+    return commutator_dirac_j_residuals(field, f, ((mu, nu),))[0]
+
+
+def commutator_dirac_j_residuals(field: FieldConfig, f: PolyGaussSpinor,
+                                 pairs=_INDEX_PAIRS):
+    """``commutator_dirac_j_residual`` for each (mu, nu) of ``pairs``.
+
+    (Pslash - m) f, the momentum images of f and of (Pslash - m) f, and the
+    images x_rho gamma^lambda f are formed once for all pairs.
+    """
+    indices = sorted({i for pair in pairs for i in pair})
+    pf = _momenta(f, field, indices)
     df = apply_dirac(f, field)
-    lhs = apply_dirac(jf, field) - apply_gauge_covariant_j((mu, nu), df, field)
+    pdf = _momenta(df, field, indices)
+    gf = [f.apply_matrix(clifford.gamma(lam)) for lam in range(4)]
+    xgf = {(rho, lam): _coordinate_lower(rho, gf[lam]) for rho in indices for lam in range(4)}
     fs = field.field_strength()
-    terms = []
-    for lam in range(4):
-        gf = f.apply_matrix(clifford.gamma(lam))
-        if fs[nu, lam]:
-            terms.append(fs[nu, lam] * _coordinate_lower(mu, gf))
-        if fs[mu, lam]:
-            terms.append(-1.0 * (fs[mu, lam] * _coordinate_lower(nu, gf)))
-    rhs = (1j * ELECTRON_CHARGE) * _sum(terms, f)
-    return relative_residual(lhs, rhs, f, jf, df)
+    out = []
+    for mu, nu in pairs:
+        jf = _generator(mu, nu, f, pf)
+        out.append(_dirac_j_identity(mu, nu, f, fs, xgf, jf, df, apply_dirac(jf, field),
+                                     _generator(mu, nu, df, pdf)))
+    return out
 
 
 def dirac_j12_rhs_explicit(field: FieldConfig, f: PolyGaussSpinor) -> PolyGaussSpinor:
@@ -303,8 +360,13 @@ def dirac_j12_rhs_explicit(field: FieldConfig, f: PolyGaussSpinor) -> PolyGaussS
 
 # conversion of the closed-form states into the polynomial class
 
+@functools.lru_cache(maxsize=4)
 def _scalar_poly2(l: int, oam_sign: int, p: int) -> np.ndarray:
     """2-D coefficients (in u, v) of the scalar mode (u + oam_sign i v)^l L_p^l(u^2+v^2).
+
+    Read-only and cached for the last few modes: a state's two modes are
+    reused across beams, and a bounded cache keeps a sweep over many
+    distinct states from holding every polynomial.
 
     The radial block holds c_j binom(j, a) at (2a, 2(j-a)), with the Laguerre
     coefficients c_j = (-1)^j binom(p+l, p-j)/j!.  Each vortex term
@@ -320,6 +382,7 @@ def _scalar_poly2(l: int, oam_sign: int, p: int) -> np.ndarray:
     out = np.zeros((l + n, l + n), dtype=complex)
     for a in range(l + 1):
         out[a:a + n, l - a:l - a + n] += math.comb(l, a) * (oam_sign * 1j)**(l - a) * radial
+    out.flags.writeable = False
     return out
 
 

@@ -108,6 +108,9 @@ class BeamParameters:
         for name, value in (("beB", self.beB), ("mass", self.m), ("k", self.k)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        for name, value in (("mass", self.m), ("k", self.k)):
+            if not math.isfinite(value * value):
+                raise ValueError(f"{name} squared overflows double precision")
         if self.beB < 0.0:
             raise ValueError("beB must be >= 0")
         if self.m <= 0.0:

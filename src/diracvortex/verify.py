@@ -94,8 +94,9 @@ def laguerre_checks():
 def dirac_sweep_check(sabotage=None):
     shift = 0.1 if sabotage == "energy" else 0.0
     worst = 0.0
-    for bp in PARAMETER_SETS:
-        for qn in iter_states(8, 8):
+    # beams inside, so that each state's two mode polynomials are built once
+    for qn in iter_states(8, 8):
+        for bp in PARAMETER_SETS:
             worst = max(worst, ps.dirac_residual(qn, bp, energy_shift=shift))
     return [Check("dirac_equation_sweep", worst, 1e-10)]
 
@@ -148,17 +149,13 @@ def commutator_checks():
                for _ in range(20)]
     for fld in fields:
         for f in spinors:
-            for j, k in (("x", "y"), ("y", "z"), ("z", "x")):
-                worst_jj = max(worst_jj, ps.commutator_jj_residual(j, k, fld, f))
+            worst_jj = max(worst_jj, *ps.commutator_jj_residuals(fld, f))
     worst_b0 = max(ps.commutator_jj_residual("x", "y", ps.FieldConfig(E=(0.4, -0.2, 0.7)), f)
                    for f in spinors[:5])
     worst_dj = 0.0
     for fld in fields:
         for f in spinors[:8]:
-            for mu in range(4):
-                for nu in range(mu + 1, 4):
-                    worst_dj = max(worst_dj,
-                                   ps.commutator_dirac_j_residual(mu, nu, fld, f))
+            worst_dj = max(worst_dj, *ps.commutator_dirac_j_residuals(fld, f))
     # component form of the z generator, and the pure-E_z null case
     def dirac_j12_commutator(f, fld):
         """[Pslash - m, J_12] f."""

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from diracvortex import laguerre, observables as obs, polyspinor as ps
+from diracvortex import cli, laguerre, observables as obs, polyspinor as ps
 from diracvortex.constants import beb_over_m2, magnetic_length_m
 from diracvortex.states import BeamParameters, QuantumNumbers, scalar_mode
 
@@ -76,6 +76,23 @@ REJECTIONS = {
         lambda: beb_over_m2(1.0, 0.0), ValueError, "mass energy must be > 0"),
     "magnetic_length_negative_field": (
         lambda: magnetic_length_m(-1.0), ValueError, "magnetic field must be >= 0"),
+    "coupling_infinite_mass": (
+        lambda: beb_over_m2(1.0, math.inf), ValueError, "mass energy must be finite"),
+    "coupling_nan_mass": (
+        lambda: beb_over_m2(1.0, math.nan), ValueError, "mass energy must be finite"),
+    "magnetic_length_nan_field": (
+        lambda: magnetic_length_m(math.nan), ValueError, "magnetic field must be finite"),
+    "magnetic_length_infinite_field": (
+        lambda: magnetic_length_m(math.inf), ValueError, "magnetic field must be finite"),
+    "beam_k_square_overflow": (
+        lambda: BeamParameters(0.37, k=1e200), ValueError,
+        "k squared overflows double precision"),
+    "beam_negative_k_square_overflow": (
+        lambda: BeamParameters(0.37, k=-1e155), ValueError,
+        "k squared overflows double precision"),
+    "beam_mass_square_overflow": (
+        lambda: BeamParameters(0.37, m=1e200), ValueError,
+        "mass squared overflows double precision"),
 }
 REJECTIONS.update({
     f"beam_{label}_{field}": (
@@ -99,3 +116,21 @@ def test_no_rings_without_field():
 
 def test_numpy_integer_quantum_numbers_accepted():
     assert QuantumNumbers(1, 1, np.int64(2), np.int32(1)) == QuantumNumbers(1, 1, 2, 1)
+
+
+@pytest.mark.parametrize("argv", [["profile", "--k-over-m", "1e200"],
+                                  ["table", "--k-over-m", "1e160", "--check"]])
+def test_cli_names_the_overflowing_momentum(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: k squared overflows double precision\n")
+
+
+@pytest.mark.parametrize("command", ["profile", "figure"])
+def test_cli_caps_samples_before_allocating(command, monkeypatch, capsys):
+    def allocate(args):
+        raise AssertionError(f"{command} ran with --samples {args.samples}")
+
+    monkeypatch.setattr(cli, f"run_{command}", allocate)
+    assert cli.main([command, "--samples", str(cli.MAX_SAMPLES + 1)]) == 2
+    assert capsys.readouterr() == ("", f"error: samples must be <= {cli.MAX_SAMPLES}\n")
+    cli._validate(cli.build_parser().parse_args([command, "--samples", str(cli.MAX_SAMPLES)]))

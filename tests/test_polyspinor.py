@@ -423,3 +423,84 @@ class TestCommutators:
         fld = ps.FieldConfig(B=(bx, by, bz))
         f = random_f(degree=3, seed=99)
         assert ps.commutator_jj_residual("x", "y", fld, f) <= 1e-12
+
+
+def _jj_recomputed(j, k, fld, f):
+    """The jj identity with every image recomputed from the public operators."""
+    J = ps.apply_gauge_covariant_j
+    axis, eps = ps._EPSILON[(j, k)]
+    jk, kj = J(k, f, fld), J(j, f, fld)
+    lhs = J(j, jk, fld) - J(k, kj, fld)
+    bx, by, bz = fld.B
+    xdotb = bx * f.mul(1) + by * f.mul(2) + bz * f.mul(3)
+    rhs = (1j * eps) * (J(axis, f, fld) + ps.ELECTRON_CHARGE * xdotb.mul("txyz".index(axis)))
+    return ps.relative_residual(lhs, rhs, f, jk, kj)
+
+
+def _dirac_j_recomputed(mu, nu, fld, f):
+    """The Dirac-J identity with every image recomputed from the public operators."""
+    J, D = ps.apply_gauge_covariant_j, ps.apply_dirac
+    jf, df = J((mu, nu), f, fld), D(f, fld)
+    lhs = D(jf, fld) - J((mu, nu), df, fld)
+    fs = fld.field_strength()
+    terms = []
+    for lam in range(4):
+        gf = f.apply_matrix(clifford.gamma(lam))
+        if fs[nu, lam]:
+            terms.append(fs[nu, lam] * ps._coordinate_lower(mu, gf))
+        if fs[mu, lam]:
+            terms.append(-1.0 * (fs[mu, lam] * ps._coordinate_lower(nu, gf)))
+    rhs = (1j * ps.ELECTRON_CHARGE) * (sum(terms[1:], terms[0]) if terms else ps.zero_like(f))
+    return ps.relative_residual(lhs, rhs, f, jf, df)
+
+
+class TestSharedImages:
+    """Images shared across pairs, rules and beams change no bit of any result."""
+
+    FIELDS = [ps.FieldConfig(B=(0.3, -0.7, 0.5), E=(0.2, 0.9, -0.4)),
+              ps.FieldConfig(B=(0.0, 0.0, 0.8)),
+              ps.FieldConfig(B=(0.4, 0.0, 0.0), E=(0.0, -0.3, 0.6)),
+              ps.FieldConfig(E=(0.0, 0.0, 0.6)),
+              ps.FieldConfig()]
+    JJ_PAIRS = (("x", "y"), ("y", "z"), ("z", "x"), ("y", "x"), ("x", "z"), ("z", "y"))
+    DJ_PAIRS = tuple((mu, nu) for mu in range(4) for nu in range(4) if mu != nu)
+
+    @pytest.mark.parametrize("field", range(len(FIELDS)))
+    def test_batched_commutators_are_the_single_pairs(self, field):
+        fld = self.FIELDS[field]
+        for seed in (60, 61):
+            f = random_f(degree=2 + seed % 3, zt=seed % 2, seed=seed + 10 * field)
+            batched = ps.commutator_jj_residuals(fld, f, self.JJ_PAIRS)
+            for (j, k), r in zip(self.JJ_PAIRS, batched, strict=True):
+                assert r.hex() == ps.commutator_jj_residual(j, k, fld, f).hex() \
+                    == _jj_recomputed(j, k, fld, f).hex(), (j, k)
+            assert ps.commutator_jj_residuals(fld, f) == batched[:3]
+            batched = ps.commutator_dirac_j_residuals(fld, f, self.DJ_PAIRS)
+            for (mu, nu), r in zip(self.DJ_PAIRS, batched, strict=True):
+                assert r.hex() == ps.commutator_dirac_j_residual(mu, nu, fld, f).hex() \
+                    == _dirac_j_recomputed(mu, nu, fld, f).hex(), (mu, nu)
+            upper = [r for (mu, nu), r in zip(self.DJ_PAIRS, batched) if mu < nu]
+            assert ps.commutator_dirac_j_residuals(fld, f) == upper
+
+    def test_cached_mode_polynomial_is_read_only_and_fresh(self):
+        assert ps._scalar_poly2.cache_info().maxsize == 4
+        for l, oam_sign, p in ((3, 1, 2), (3, -1, 2), (0, 1, 4), (3, 1, 2), (7, -1, 0)):
+            poly = ps._scalar_poly2(l, oam_sign, p)
+            with pytest.raises(ValueError, match="read-only"):
+                poly[0, 0] = 1.0
+            fresh = ps._scalar_poly2.__wrapped__(l, oam_sign, p)
+            assert fresh.tobytes() == poly.tobytes()
+
+    def test_closed_and_quadrature_is_the_separate_companions(self):
+        for bp in (BP, BeamParameters(beB=2.5, m=1.0, k=0.3)):
+            for qn in iter_states(6, 6):
+                pairs = obs.closed_and_quadrature(qn, bp)
+                separate = [obs.integrated_density_quadrature(qn, bp),
+                            obs.integrated_jz_quadrature(qn, bp),
+                            obs.r2_moment_quadrature(qn, bp),
+                            obs.gauge_covariant_jz_quadrature(qn, bp),
+                            obs.magnetic_moment_quadrature(qn, bp)]
+                assert [name for name, _, _ in pairs] == ["int_j0", "int_jz", "r2_moment",
+                                                          "jz_gauge", "mz"]
+                assert [quad.hex() for _, _, quad in pairs] \
+                    == [value.hex() for value in separate], qn
