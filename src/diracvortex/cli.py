@@ -53,20 +53,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(meta, columns, rows, stream):
-    for key, value in meta.items():
-        stream.write(f"# {key} = {_fmt(value)}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+#: rows formatted and written at a time: bounds the output text held in memory
+BLOCK_ROWS = 1024
+#: text before each row, between cells, after each row and between rows; the
+#: JSON layout is the one ``json.dumps(indent=2)`` gives a list of lists
+#: stored under a top-level key
+ROW_LAYOUT = {"csv": ("", ",", "\n", ""),
+              "json": ("\n    [\n      ", ",\n      ", "\n    ]", ",")}
 
 
-def _write_json(payload, stream):
+def _item(value):
+    return value.item()
+
+
+def _strict_json(payload) -> str:
     """Strict JSON: a non-finite meta value (no magnetic length at B = 0) is null."""
     meta = {key: None if isinstance(value, float) and not math.isfinite(value) else value
             for key, value in payload["meta"].items()}
-    stream.write(json.dumps({**payload, "meta": meta}, indent=2,
-                            default=lambda value: value.item(), allow_nan=False) + "\n")
+    return json.dumps({**payload, "meta": meta}, indent=2, default=_item, allow_nan=False)
+
+
+def _write_json(payload, stream):
+    stream.write(_strict_json(payload) + "\n")
 
 
 def _output(out):
@@ -74,16 +82,52 @@ def _output(out):
     return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
-def _emit(meta, columns, rows, fmt, out):
-    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
-        raise ValueError("non-finite output values: double-precision overflow "
-                         "at large l or p")
+def _is_float_array(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
+def _finite(column) -> bool:
+    if _is_float_array(column):
+        return bool(np.isfinite(column).all())
+    return not any(isinstance(v, float) and not math.isfinite(v) for v in column)
+
+
+def _cells(column, fmt):
+    """Each value's text: what ``_fmt`` (CSV) or the ``json`` encoder writes for it."""
+    if _is_float_array(column):
+        return list(map("{:.17g}".format if fmt == "csv" else float.__repr__,
+                        column.tolist()))
+    if fmt == "csv":
+        return [_fmt(v) for v in column]
+    return [json.dumps(v, default=_item, allow_nan=False) for v in column]
+
+
+def _emit(meta, table, fmt, out):
+    """Write ``table`` ({column name: one value per row}) as CSV or JSON.
+
+    Every column is checked for non-finite values before the output opens;
+    rows are then formatted and written ``BLOCK_ROWS`` at a time.
+    """
+    bad = [name for name, column in table.items() if not _finite(column)]
+    if bad:
+        raise ValueError(f"non-finite output values in {', '.join(bad)}: double-precision "
+                         "overflow at large l or p, --k-over-m or --rmax")
+    columns = list(table.values())
+    before, between, after, row_sep = ROW_LAYOUT[fmt]
     with _output(out) as stream:
         if fmt == "csv":
-            _write_csv(meta, columns, rows, stream)
+            stream.writelines(f"# {key} = {_fmt(value)}\n" for key, value in meta.items())
+            stream.write(",".join(table) + "\n")
         else:
-            _write_json({"meta": meta, "columns": list(columns),
-                         "rows": [list(r) for r in rows]}, stream)
+            # the head ends in '"rows": []\n}'; the rows go inside that bracket
+            head = _strict_json({"meta": meta, "columns": list(table), "rows": []})
+            stream.write(head[:-len("]\n}")])
+        for start in range(0, len(columns[0]), BLOCK_ROWS):
+            block = zip(*(_cells(c[start:start + BLOCK_ROWS], fmt) for c in columns))
+            stream.write((row_sep if start else "")
+                         + row_sep.join(before + between.join(row) + after for row in block))
+        if fmt == "json":
+            stream.write("\n  ]\n}\n")
 
 
 def _beam(args) -> BeamParameters:
@@ -117,31 +161,26 @@ def run_profile(args) -> int:
     meta = _common_meta(args, bp, qn)
     meta["normalized"] = args.normalized
     meta["current_element"] = "dz x dr" if args.physical_dr else "dz x dr_rescaled"
-    columns = ("r", "j0", "jz", "jphi", "s_phi")
-    rows = list(zip(r, prof.j0, prof.jz, prof.jphi, prof.s_phi))
-    _emit(meta, columns, rows, args.format, args.out)
+    table = {"r": r, "j0": prof.j0, "jz": prof.jz, "jphi": prof.jphi, "s_phi": prof.s_phi}
+    _emit(meta, table, args.format, args.out)
     return 0
 
 
 def run_figure(args) -> int:
     bp = _beam(args)
     r = np.linspace(0.0, args.rmax, args.samples)
-    columns = ["r"]
-    series = [r]
+    table = {"r": r}
     meta = _common_meta(args, bp)
     meta["normalized"] = args.normalized
     for label, l_signed, p in FIGURE_CASES:
         for spin in ("up", "down"):
             qn = quantum_numbers_from_signed(l_signed, p, spin)
             prof = obs.radial_profile(qn, bp, r, normalized=args.normalized)
-            name = f"jphi_{label}_{spin}"
-            columns.append(name)
-            series.append(prof.jphi)
+            table[f"jphi_{label}_{spin}"] = prof.jphi
             radii = obs.sign_change_radii(qn) if bp.beB > 0 else []
             meta[f"sign_change_radii_{label}_{spin}"] = " ".join(
                 f"{x:.17g}" for x in radii) or "none"
-    rows = list(zip(*series))
-    _emit(meta, columns, rows, args.format, args.out)
+    _emit(meta, table, args.format, args.out)
     return 0
 
 
@@ -155,7 +194,7 @@ def run_spectrum(args) -> int:
         partner = "none" if pq is None else "{}:{}:{}".format(*_label(pq), pq.p)
         rows.append((*_label(qn), qn.p, qn.canonical_jz, 2 * qn.interaction_index,
                      energy(qn, bp).total, partner))
-    _emit(_common_meta(args, bp), columns, rows, args.format, args.out)
+    _emit(_common_meta(args, bp), dict(zip(columns, zip(*rows))), args.format, args.out)
     return 0
 
 
@@ -163,20 +202,19 @@ def run_table(args) -> int:
     qn = quantum_numbers_from_signed(args.l, args.p, args.spin)
     bp = _beam(args)
     rho = obs.reduced_spin_state(qn, bp)
-    columns = ["spin", "l_signed", "p", "energy_over_m", "int_j0", "int_jz",
-               "jz_canonical", "jz_gauge", "jz_gauge_dropped", "mz_per_abs_e",
-               "prob_up", "prob_down"]
-    mz = obs.magnetic_moment(qn, bp) if bp.beB > 0 else 0.0
-    row = [*_label(qn), qn.p, energy(qn, bp).total, obs.integrated_density(qn, bp),
-           obs.integrated_jz(qn, bp), qn.canonical_jz,
-           obs.gauge_covariant_jz(qn, bp),
-           obs.gauge_covariant_jz(qn, bp, drop_spin_orbit=True),
-           mz, rho.prob_up, rho.prob_down]
+    spin, l_signed = _label(qn)
+    row = {"spin": spin, "l_signed": l_signed, "p": qn.p,
+           "energy_over_m": energy(qn, bp).total,
+           "int_j0": obs.integrated_density(qn, bp), "int_jz": obs.integrated_jz(qn, bp),
+           "jz_canonical": qn.canonical_jz, "jz_gauge": obs.gauge_covariant_jz(qn, bp),
+           "jz_gauge_dropped": obs.gauge_covariant_jz(qn, bp, drop_spin_orbit=True),
+           "mz_per_abs_e": obs.magnetic_moment(qn, bp) if bp.beB > 0 else 0.0,
+           "prob_up": rho.prob_up, "prob_down": rho.prob_down}
     if args.check:
         for name, closed, quad in obs.closed_and_quadrature(qn, bp):
-            columns.append(f"err_{name}")
-            row.append(abs(closed - quad) / max(1.0, abs(closed)))
-    _emit(_common_meta(args, bp, qn), columns, [row], args.format, args.out)
+            row[f"err_{name}"] = abs(closed - quad) / max(1.0, abs(closed))
+    _emit(_common_meta(args, bp, qn), {name: [value] for name, value in row.items()},
+          args.format, args.out)
     return 0
 
 
@@ -188,7 +226,7 @@ def run_verify(args) -> int:
     if args.format == "csv":
         columns = ("name", "residual", "tolerance", "pass")
         rows = [(c.name, c.residual, c.tolerance, c.passed) for c in checks]
-        _emit(meta, columns, rows, "csv", args.out)
+        _emit(meta, dict(zip(columns, zip(*rows))), "csv", args.out)
     else:
         with _output(args.out) as stream:
             _write_json({"meta": meta, "checks": [c.as_dict() for c in checks]}, stream)
