@@ -11,6 +11,7 @@ import contextlib
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -175,8 +176,9 @@ def run_figure(args) -> int:
     for label, l_signed, p in FIGURE_CASES:
         for spin in ("up", "down"):
             qn = quantum_numbers_from_signed(l_signed, p, spin)
-            prof = obs.radial_profile(qn, bp, r, normalized=args.normalized)
-            table[f"jphi_{label}_{spin}"] = prof.jphi
+            # keep jphi alone: the panel's other columns go before the next one is built
+            table[f"jphi_{label}_{spin}"] = obs.radial_profile(
+                qn, bp, r, normalized=args.normalized).jphi
             radii = obs.sign_change_radii(qn) if bp.beB > 0 else []
             meta[f"sign_change_radii_{label}_{spin}"] = " ".join(
                 f"{x:.17g}" for x in radii) or "none"
@@ -301,12 +303,18 @@ def main(argv=None) -> int:
     handlers = {"profile": run_profile, "figure": run_figure,
                 "spectrum": run_spectrum, "table": run_table,
                 "verify": run_verify}
-    try:
-        _validate(args)
-        return handlers[args.command](args)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # warnings (numpy's overflow ones) are held back: a command that fails prints
+    # only its error line, one that succeeds shows them as it always did
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            _validate(args)
+            code = handlers[args.command](args)
+        except (ValueError, OverflowError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 def _validate(args):

@@ -11,6 +11,7 @@ physical element dz x dr, which multiplies by sqrt(beB/2).
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -280,9 +281,23 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
 # Gauss-Laguerre nodes in x = r^2, never touching the closed forms above.
 
 def _node_samples(qn: QuantumNumbers, bp: BeamParameters, extra_degree: int = 0):
-    """Gauss nodes, weights and spinor in x = r^2; exact for x^extra_degree times the density."""
+    """Gauss nodes, weights and spinor in x = r^2; exact for x^extra_degree times the density.
+
+    A state's companions use two rules, the base one and the one of degree
+    +2, so the last two samplings are cached and each rule is sampled once
+    per state.  The signs of beB and k join the key, because
+    BeamParameters(k=-0.0) == BeamParameters(k=0.0) although their spinors
+    hold zeros of opposite sign.  The cached arrays are read-only.
+    """
+    return _sampled(qn, bp, extra_degree, math.copysign(1.0, bp.beB), math.copysign(1.0, bp.k))
+
+
+@functools.lru_cache(maxsize=2)
+def _sampled(qn, bp, extra_degree, beb_sign, k_sign):
+    """``_node_samples`` for the last two keys; the signs only tell twin beams apart."""
     nodes, weights = gauss_laguerre_nodes(2 * (qn.l + 2 * qn.p) + 10 + extra_degree)
     psi = evaluate_spinor(qn, bp, (np.sqrt(nodes), 0.0, 0.0, 0.0))
+    psi.flags.writeable = False
     return nodes, weights, psi
 
 
@@ -291,48 +306,27 @@ def _weighted_sum(weights, nodes, values) -> float:
     return float(np.sum(weights * (values * np.exp(nodes))))
 
 
-# Gauss sums over one sampling (``_node_samples``), shared by the public
-# companions and by ``closed_and_quadrature``.
-
-def _density_sum(samples) -> float:
-    nodes, weights, psi = samples
-    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1))
-
-
-def _jz_sum(samples) -> float:
-    nodes, weights, psi = samples
-    return math.pi * _weighted_sum(weights, nodes, _jz_bilinear(psi))
-
-
-def _r2_sum(samples) -> float:
-    nodes, weights, psi = samples
-    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1) * nodes)
-
-
 def integrated_density_quadrature(qn, bp) -> float:
     """Transverse integral of j0 by quadrature of the sampled spinor."""
-    return _density_sum(_node_samples(qn, bp))
+    nodes, weights, psi = _node_samples(qn, bp)
+    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1))
 
 
 def integrated_jz_quadrature(qn, bp) -> float:
     """Transverse integral of j_z by quadrature of the sampled spinor."""
-    return _jz_sum(_node_samples(qn, bp))
+    nodes, weights, psi = _node_samples(qn, bp)
+    return math.pi * _weighted_sum(weights, nodes, _jz_bilinear(psi))
 
 
 def r2_moment_quadrature(qn, bp) -> float:
     """Transverse integral of r^2 Psi^dag Psi by quadrature."""
-    return _r2_sum(_node_samples(qn, bp, 2))
-
-
-def _jz_gauge_from_moments(qn: QuantumNumbers, r2: float, density: float) -> float:
-    """Canonical eigenvalue plus the mean of r^2 from its two integrals."""
-    return qn.canonical_jz + r2 / density
+    nodes, weights, psi = _node_samples(qn, bp, 2)
+    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1) * nodes)
 
 
 def gauge_covariant_jz_quadrature(qn, bp) -> float:
     """Canonical eigenvalue plus the quadrature mean of r^2."""
-    return _jz_gauge_from_moments(qn, r2_moment_quadrature(qn, bp),
-                                  integrated_density_quadrature(qn, bp))
+    return qn.canonical_jz + r2_moment_quadrature(qn, bp) / integrated_density_quadrature(qn, bp)
 
 
 def magnetic_moment_quadrature(qn, bp) -> float:
@@ -343,11 +337,7 @@ def magnetic_moment_quadrature(qn, bp) -> float:
     """
     if bp.beB <= 0.0:
         raise ValueError("magnetic moment requires beB > 0")
-    return _moment_sum(_node_samples(qn, bp, 2), bp)
-
-
-def _moment_sum(samples, bp: BeamParameters) -> float:
-    nodes, weights, psi = samples
+    nodes, weights, psi = _node_samples(qn, bp, 2)
     _, gphi = clifford.gamma_cylindrical(0.0)
     mat = clifford.GAMMA0 @ gphi
     jphi = np.real(np.einsum("ni,ij,nj->n", np.conj(psi), mat, psi))
@@ -369,21 +359,16 @@ def closed_and_quadrature(qn: QuantumNumbers, bp: BeamParameters):
     """(name, closed form, quadrature companion) for every cross-checked observable.
 
     The integrated density comes first.  The magnetic moment needs beB > 0
-    and is left out at beB = 0.  Each Gauss rule is sampled once: the base
-    rule gives the density and j_z, the rule of degree +2 the r^2 moment and
-    the moment; the density and r^2 integrals also give jz_gauge.
+    and is left out at beB = 0.  The companions share ``_node_samples``, so
+    each of the two Gauss rules is sampled once.
     """
-    base, wide = _node_samples(qn, bp), _node_samples(qn, bp, 2)
-    density, r2 = _density_sum(base), _r2_sum(wide)
-    pairs = [
-        ("int_j0", integrated_density(qn, bp), density),
-        ("int_jz", integrated_jz(qn, bp), _jz_sum(base)),
-        ("r2_moment", r2_moment(qn, bp), r2),
-        ("jz_gauge", gauge_covariant_jz(qn, bp), _jz_gauge_from_moments(qn, r2, density)),
-    ]
+    pairs = [("int_j0", integrated_density, integrated_density_quadrature),
+             ("int_jz", integrated_jz, integrated_jz_quadrature),
+             ("r2_moment", r2_moment, r2_moment_quadrature),
+             ("jz_gauge", gauge_covariant_jz, gauge_covariant_jz_quadrature)]
     if bp.beB > 0:
-        pairs.append(("mz", magnetic_moment(qn, bp), _moment_sum(wide, bp)))
-    return pairs
+        pairs.append(("mz", magnetic_moment, magnetic_moment_quadrature))
+    return [(name, closed(qn, bp), quad(qn, bp)) for name, closed, quad in pairs]
 
 
 def radial_profile(qn: QuantumNumbers, bp: BeamParameters, r,

@@ -8,6 +8,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -444,6 +445,42 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: non-finite output values in ")
         assert "int_j0" in err and "--k-over-m" in err and "--rmax" in err
+
+    @pytest.mark.parametrize("argv", [["table", "--k-over-m", "1e154", "--check"],
+                                      ["profile", "--l", "160", "--rmax", "40", "--samples", "4"],
+                                      ["profile", "--rmax", "1e308", "--samples", "3"]])
+    def test_overflow_prints_only_the_error_line(self, argv):
+        # a fresh interpreter under the default warning filters, as a user runs it
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "diracvortex.cli", *argv],
+                             capture_output=True, env=env)
+        assert run.returncode == 2
+        assert run.stdout == b""
+        lines = run.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite output values")
+
+    def test_warnings_of_a_failed_command_are_dropped(self, monkeypatch, capsys):
+        def fail(args):
+            warnings.warn("held back", UserWarning)
+            raise ValueError("bad input")
+
+        monkeypatch.setattr(cli, "run_spectrum", fail)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["spectrum"]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "error: bad input\n"
+
+    def test_warnings_of_a_successful_command_are_shown(self, monkeypatch):
+        def succeed(args):
+            warnings.warn("still shown", UserWarning)
+            return 0
+
+        monkeypatch.setattr(cli, "run_spectrum", succeed)
+        with pytest.warns(UserWarning, match="still shown"):
+            assert cli.main(["spectrum"]) == 0
 
     @pytest.mark.parametrize("argv", [["profile", "--p", "-1"], ["table", "--p", "-1"],
                                       ["profile", "--B", "-1"], ["figure", "--B", "-1"],

@@ -72,6 +72,31 @@ def test_scalar_argument_gives_zero_dimensional_numpy_value():
             assert value == fn(p, 2, np.array([1.3]))[0]
 
 
+def test_single_point_keeps_the_bits_of_the_array_path():
+    """A point alone (0-d, (1,), (1, 1) or a float) gives what it gives inside a longer array."""
+    rng = np.random.default_rng(23)
+    for p in range(-1, 41):
+        for l in range(-1, 41):
+            xs = np.array([0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0 * p + 5.0),
+                           40.0 * (p + 2)])
+            batch = laguerre.eval_laguerre(p, l, xs)
+            for x, expected in zip(xs.tolist(), batch.tolist()):
+                zero_d = laguerre.eval_laguerre(p, l, np.array(x))
+                if p >= 1:
+                    assert type(zero_d) is np.float64
+                else:
+                    assert type(zero_d) is np.ndarray and zero_d.shape == ()
+                assert type(laguerre.eval_laguerre(p, l, x)) is type(zero_d)
+                values = [zero_d, laguerre.eval_laguerre(p, l, x)]
+                for shape in ((1,), (1, 1)):
+                    out = laguerre.eval_laguerre(p, l, np.full(shape, x))
+                    assert type(out) is np.ndarray and out.shape == shape
+                    assert out.dtype == np.float64
+                    values.append(out)
+                for value in values:
+                    assert float(value.item()).hex() == expected.hex()
+
+
 def test_derivative_of_constant_is_zero():
     assert laguerre.eval_derivative(0, 4, 2.2) == 0.0
 

@@ -135,6 +135,69 @@ class TestIntegrated:
                 obs.integrated_jz_quadrature(qn, BP), rel=1e-10)
 
 
+COMPANIONS = (obs.integrated_density_quadrature, obs.integrated_jz_quadrature,
+              obs.r2_moment_quadrature, obs.gauge_covariant_jz_quadrature,
+              obs.magnetic_moment_quadrature)
+
+
+class TestSamplingCache:
+    """Each Gauss rule is sampled once per state, and the cache never mixes beams."""
+
+    @pytest.fixture
+    def spinor_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate_spinor(*args)
+
+        obs._sampled.cache_clear()
+        monkeypatch.setattr(obs, "evaluate_spinor", counted)
+        return calls
+
+    def test_companions_sample_twice(self, spinor_calls):
+        qn = QuantumNumbers(1, -1, 3, 2)
+        for companion in COMPANIONS:
+            companion(qn, BP)
+        assert len(spinor_calls) == 2
+
+    def test_closed_and_quadrature_samples_twice(self, spinor_calls):
+        pairs = obs.closed_and_quadrature(QuantumNumbers(-1, 1, 2, 1), BP)
+        assert [name for name, _, _ in pairs] == ["int_j0", "int_jz", "r2_moment",
+                                                  "jz_gauge", "mz"]
+        assert len(spinor_calls) == 2
+
+    @pytest.mark.parametrize("twin, signed", [
+        (BeamParameters(beB=0.37, k=0.0), BeamParameters(beB=0.37, k=-0.0)),
+        (BeamParameters(beB=0.0, k=0.8), BeamParameters(beB=-0.0, k=0.8)),
+    ])
+    def test_signed_zero_beam_is_not_its_twin(self, twin, signed):
+        assert twin == signed
+        qn = QuantumNumbers(1, 1, 2, 1)
+        obs._sampled.cache_clear()
+        nodes, _, twin_psi = obs._node_samples(qn, twin)
+        psi = obs._node_samples(qn, signed)[2]
+        uncached = evaluate_spinor(qn, signed, (np.sqrt(nodes), 0.0, 0.0, 0.0))
+        # the twin's spinor has zeros of the other sign
+        assert twin_psi.tobytes() != uncached.tobytes()
+        assert psi.tobytes() == uncached.tobytes()
+
+    def test_cached_spinor_is_read_only(self):
+        nodes, weights, psi = obs._node_samples(QuantumNumbers(1, 1, 1, 1), BP, 2)
+        for array in (nodes, weights, psi):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            psi[0, 0] = 1.0
+
+    def test_cache_stays_bounded(self):
+        for bp in SETTINGS:
+            for qn in sample_states(3, 3):
+                obs.closed_and_quadrature(qn, bp)
+                obs.reduced_spin_quadrature(qn, bp)
+        info = obs._sampled.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
+
+
 class TestSpinTexture:
     def test_radial_spin_zero_pointwise(self):
         rng = np.random.default_rng(8)
