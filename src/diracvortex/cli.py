@@ -44,13 +44,17 @@ def _label(qn: QuantumNumbers):
     return "up" if qn.spin_sign > 0 else "down", qn.oam_sign * qn.l
 
 
+#: a float's CSV text: 17 significant digits, enough to round-trip any double
+_csv_float = "{:.17g}".format
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return _csv_float(value)
     return str(value)
 
 
@@ -96,7 +100,7 @@ def _finite(column) -> bool:
 def _cells(column, fmt):
     """Each value's text: what ``_fmt`` (CSV) or the ``json`` encoder writes for it."""
     if _is_float_array(column):
-        return list(map("{:.17g}".format if fmt == "csv" else float.__repr__,
+        return list(map(_csv_float if fmt == "csv" else float.__repr__,
                         column.tolist()))
     if fmt == "csv":
         return [_fmt(v) for v in column]
@@ -181,7 +185,7 @@ def run_figure(args) -> int:
                 qn, bp, r, normalized=args.normalized).jphi
             radii = obs.sign_change_radii(qn) if bp.beB > 0 else []
             meta[f"sign_change_radii_{label}_{spin}"] = " ".join(
-                f"{x:.17g}" for x in radii) or "none"
+                map(_csv_float, radii)) or "none"
     _emit(meta, table, args.format, args.out)
     return 0
 

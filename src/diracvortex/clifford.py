@@ -28,9 +28,9 @@ SIGMA_X = np.block([[_SX, _Z2], [_Z2, _SX]])
 SIGMA_Y = np.block([[_SY, _Z2], [_Z2, _SY]])
 SIGMA_Z = np.block([[_SZ, _Z2], [_Z2, _SZ]])
 
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 # Sign picked up when lowering one index on a gamma matrix.
 METRIC_SIGNS = (1.0, -1.0, -1.0, -1.0)
+METRIC = np.diag(METRIC_SIGNS)
 
 IDENTITY4 = np.eye(4, dtype=complex)
 

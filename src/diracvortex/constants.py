@@ -45,7 +45,7 @@ def magnetic_length_m(b_tesla: float) -> float:
     """Physical radius (in meters) at which the rescaled radius equals 1.
 
     This is sqrt(2 hbar / (|e| B)); about 36 nm at one Tesla.  B = 0 maps to
-    an infinite length.
+    an infinite length; a field so small that |e| B underflows is rejected.
     """
     if not math.isfinite(b_tesla):
         raise ValueError("magnetic field must be finite")
@@ -53,4 +53,7 @@ def magnetic_length_m(b_tesla: float) -> float:
         raise ValueError("magnetic field must be >= 0")
     if b_tesla == 0.0:
         return math.inf
-    return math.sqrt(2.0 * HBAR_J_S / (ELEMENTARY_CHARGE_C * b_tesla))
+    charge_field = ELEMENTARY_CHARGE_C * b_tesla
+    if charge_field == 0.0:
+        raise ValueError("|e| B underflows to 0")
+    return math.sqrt(2.0 * HBAR_J_S / charge_field)

@@ -199,12 +199,13 @@ def magnetic_moment(qn: QuantumNumbers, bp: BeamParameters) -> float:
 def magnetic_moment_from_angular(qn: QuantumNumbers, bp: BeamParameters) -> float:
     """Same moment via the half-integer combination L_z + 2 S_z.
 
-    M_z/|e| = -(integrated j0 / 2E) (2p + l(1+oam_sign) + 1 + spin_sign);
-    the electron charge supplies the minus sign.
+    M_z/|e| = -(integrated j0 / 2E) (2p + l(1+oam_sign) + 1 + spin_sign), whose
+    last factor is twice the interaction index; the electron charge supplies
+    the minus sign.
     """
     if bp.beB <= 0.0:
         raise ValueError("magnetic moment requires beB > 0")
-    gyro = 2 * qn.p + qn.l * (1 + qn.oam_sign) + 1 + qn.spin_sign
+    gyro = 2 * qn.interaction_index
     return -integrated_density(qn, bp) / (2.0 * energy(qn, bp).total) * gyro
 
 

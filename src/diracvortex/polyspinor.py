@@ -30,13 +30,15 @@ ELECTRON_CHARGE = -1.0
 #: coefficient axis of x^mu for mu = 0..3 = (t, x, y, z)
 _AXIS = (4, 1, 2, 3)
 
-#: spatial rotation generators as tensor index pairs
-AXIS_PAIRS = {"x": (2, 3), "y": (3, 1), "z": (1, 2)}
-_EPSILON = {("x", "y"): ("z", 1.0), ("y", "x"): ("z", -1.0),
-            ("y", "z"): ("x", 1.0), ("z", "y"): ("x", -1.0),
-            ("z", "x"): ("y", 1.0), ("x", "z"): ("y", -1.0)}
+#: the cyclic order of the spatial axes, the one statement of eps_{jkl} = +1
+_CYCLIC = (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
+#: spatial rotation generators as tensor index pairs: J_j = J_{kl} for cyclic (j, k, l)
+AXIS_PAIRS = {j: ("txyz".index(k), "txyz".index(l)) for j, k, l in _CYCLIC}
+#: (j, k) -> (l, eps_{jkl}) for the six ordered pairs of distinct axes
+_EPSILON = {pair: entry for j, k, l in _CYCLIC
+            for pair, entry in (((j, k), (l, 1.0)), ((k, j), (l, -1.0)))}
 #: the cyclic pairs of rotation generators, and the index pairs mu < nu of J_{mu nu}
-_CYCLIC_PAIRS = (("x", "y"), ("y", "z"), ("z", "x"))
+_CYCLIC_PAIRS = tuple((j, k) for j, k, _ in _CYCLIC)
 _INDEX_PAIRS = tuple((mu, nu) for mu in range(4) for nu in range(mu + 1, 4))
 
 
@@ -221,11 +223,6 @@ def _coordinate_lower(mu: int, f: PolyGaussSpinor) -> PolyGaussSpinor:
     return x_mu if mu == 0 else -1.0 * x_mu
 
 
-def _momenta(f: PolyGaussSpinor, field: FieldConfig, mus):
-    """{mu: P_mu f} for each index of ``mus``, to build several operators from."""
-    return {mu: apply_gauge_momentum(mu, f, field) for mu in mus}
-
-
 def _dirac_terms(f: PolyGaussSpinor, field: FieldConfig):
     """The five terms gamma^mu P_mu f (mu = 0..3) and -m f, summed in this order."""
     return ([apply_gauge_momentum(mu, f, field).apply_matrix(clifford.gamma(mu))
@@ -243,10 +240,12 @@ def apply_canonical_jz(f: PolyGaussSpinor) -> PolyGaussSpinor:
     return (-1j) * angular + f.apply_matrix(0.5 * clifford.SIGMA_Z)
 
 
-def _generator(mu: int, nu: int, f: PolyGaussSpinor, pf) -> PolyGaussSpinor:
-    """J_{mu nu} f from the momentum images pf[mu] = P_mu f."""
-    orbital = _coordinate_lower(mu, pf[nu]) - _coordinate_lower(nu, pf[mu])
-    return orbital + f.apply_matrix(0.5j * clifford.sigma_tensor(mu, nu))
+def _generators(f: PolyGaussSpinor, field: FieldConfig, pairs):
+    """{(mu, nu): J_{mu nu} f} for the index pairs ``pairs``, each P_mu f formed once."""
+    pf = {mu: apply_gauge_momentum(mu, f, field)
+          for mu in dict.fromkeys(i for pair in pairs for i in pair)}
+    return {(mu, nu): (_coordinate_lower(mu, pf[nu]) - _coordinate_lower(nu, pf[mu]))
+            + f.apply_matrix(0.5j * clifford.sigma_tensor(mu, nu)) for mu, nu in pairs}
 
 
 def apply_gauge_covariant_j(key, f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
@@ -258,22 +257,13 @@ def apply_gauge_covariant_j(key, f: PolyGaussSpinor, field: FieldConfig) -> Poly
     values produced by the quadrature route.
     """
     mu, nu = AXIS_PAIRS[key] if isinstance(key, str) else key
-    return _generator(mu, nu, f, _momenta(f, field, (mu, nu)))
+    return _generators(f, field, ((mu, nu),))[mu, nu]
 
 
 def _spatial_j(f: PolyGaussSpinor, field: FieldConfig, keys):
     """{key: J_key f} for the axis names ``keys``, sharing the momentum images of f."""
-    pf = _momenta(f, field, sorted({mu for key in keys for mu in AXIS_PAIRS[key]}))
-    return {key: _generator(*AXIS_PAIRS[key], f, pf) for key in keys}
-
-
-def _jj_identity(j, k, f, jf, jjf, xdotb) -> float:
-    """[J_j, J_k] = i eps_{jkl} (J_l + e x_l (x.B)) on f, from the images
-    jf[a] = J_a f, jjf[a, b] = J_a J_b f and xdotb = (x.B) f."""
-    axis, eps = _EPSILON[(j, k)]
-    lhs = jjf[j, k] - jjf[k, j]
-    rhs = (1j * eps) * (jf[axis] + ELECTRON_CHARGE * xdotb.mul("txyz".index(axis)))
-    return relative_residual(lhs, rhs, f, jf[k], jf[j])
+    images = _generators(f, field, [AXIS_PAIRS[key] for key in keys])
+    return {key: images[AXIS_PAIRS[key]] for key in keys}
 
 
 def commutator_jj_residual(j: str, k: str, field: FieldConfig,
@@ -295,22 +285,13 @@ def commutator_jj_residuals(field: FieldConfig, f: PolyGaussSpinor, pairs=_CYCLI
         jjf.update(((a, b), image) for a, image in _spatial_j(jf[b], field, outer).items())
     bx, by, bz = field.B
     xdotb = bx * f.mul(1) + by * f.mul(2) + bz * f.mul(3)
-    return [_jj_identity(j, k, f, jf, jjf, xdotb) for j, k in pairs]
-
-
-def _dirac_j_identity(mu, nu, f, fs, xgf, jf, df, djf, jdf) -> float:
-    """[Pslash - m, J_{mu nu}] = i e x_[mu F_nu]lambda gamma^lambda on f, from the
-    field strength fs and the images xgf[rho, lambda] = x_rho gamma^lambda f,
-    jf = J_{mu nu} f, df = (Pslash - m) f, djf = (Pslash - m) jf and jdf = J_{mu nu} df."""
-    lhs = djf - jdf
-    terms = []
-    for lam in range(4):
-        if fs[nu, lam]:
-            terms.append(fs[nu, lam] * xgf[mu, lam])
-        if fs[mu, lam]:
-            terms.append(-1.0 * (fs[mu, lam] * xgf[nu, lam]))
-    rhs = (1j * ELECTRON_CHARGE) * _sum(terms, f)
-    return relative_residual(lhs, rhs, f, jf, df)
+    out = []
+    for j, k in pairs:
+        axis, eps = _EPSILON[(j, k)]
+        lhs = jjf[j, k] - jjf[k, j]
+        rhs = (1j * eps) * (jf[axis] + ELECTRON_CHARGE * xdotb.mul("txyz".index(axis)))
+        out.append(relative_residual(lhs, rhs, f, jf[k], jf[j]))
+    return out
 
 
 def commutator_dirac_j_residual(mu: int, nu: int, field: FieldConfig,
@@ -323,21 +304,26 @@ def commutator_dirac_j_residuals(field: FieldConfig, f: PolyGaussSpinor,
                                  pairs=_INDEX_PAIRS):
     """``commutator_dirac_j_residual`` for each (mu, nu) of ``pairs``.
 
-    (Pslash - m) f, the momentum images of f and of (Pslash - m) f, and the
+    (Pslash - m) f, the generator images of f and of (Pslash - m) f, and the
     images x_rho gamma^lambda f are formed once for all pairs.
     """
-    indices = sorted({i for pair in pairs for i in pair})
-    pf = _momenta(f, field, indices)
     df = apply_dirac(f, field)
-    pdf = _momenta(df, field, indices)
+    jf, jdf = _generators(f, field, pairs), _generators(df, field, pairs)
     gf = [f.apply_matrix(clifford.gamma(lam)) for lam in range(4)]
-    xgf = {(rho, lam): _coordinate_lower(rho, gf[lam]) for rho in indices for lam in range(4)}
+    xgf = {(rho, lam): _coordinate_lower(rho, gf[lam])
+           for rho in dict.fromkeys(i for pair in pairs for i in pair) for lam in range(4)}
     fs = field.field_strength()
     out = []
     for mu, nu in pairs:
-        jf = _generator(mu, nu, f, pf)
-        out.append(_dirac_j_identity(mu, nu, f, fs, xgf, jf, df, apply_dirac(jf, field),
-                                     _generator(mu, nu, df, pdf)))
+        lhs = apply_dirac(jf[mu, nu], field) - jdf[mu, nu]
+        terms = []
+        for lam in range(4):
+            if fs[nu, lam]:
+                terms.append(fs[nu, lam] * xgf[mu, lam])
+            if fs[mu, lam]:
+                terms.append(-1.0 * (fs[mu, lam] * xgf[nu, lam]))
+        rhs = (1j * ELECTRON_CHARGE) * _sum(terms, f)
+        out.append(relative_residual(lhs, rhs, f, jf[mu, nu], df))
     return out
 
 
@@ -349,12 +335,10 @@ def dirac_j12_rhs_explicit(field: FieldConfig, f: PolyGaussSpinor) -> PolyGaussS
     """
     ex, ey, _ = field.E
     bx, by, bz = field.B
-    g = [clifford.gamma(m) for m in range(4)]
-    out = ey * f.apply_matrix(g[0]).mul(1) - ex * f.apply_matrix(g[0]).mul(2)
-    out = out - bz * (f.apply_matrix(g[1]).mul(1) + f.apply_matrix(g[2]).mul(2)
-                      + f.apply_matrix(g[3]).mul(3))
-    out = out + bx * f.apply_matrix(g[3]).mul(1) + by * f.apply_matrix(g[3]).mul(2) \
-        + bz * f.apply_matrix(g[3]).mul(3)
+    g0, g1, g2, g3 = (f.apply_matrix(clifford.gamma(lam)) for lam in range(4))
+    out = ey * g0.mul(1) - ex * g0.mul(2)
+    out = out - bz * (g1.mul(1) + g2.mul(2) + g3.mul(3))
+    out = out + bx * g3.mul(1) + by * g3.mul(2) + bz * g3.mul(3)
     return (1j * ELECTRON_CHARGE) * out
 
 

@@ -240,10 +240,10 @@ def ring_checks():
 def ground_protection_checks():
     worst_amp = 0.0
     worst_exact = 0.0
+    r = np.random.default_rng(3).uniform(0.0, 4.0, 16)
     for bp in PARAMETER_SETS:
         for l in range(0, 5):
             qn = QuantumNumbers(-1, -1, l, 0)
-            r = np.random.default_rng(3).uniform(0.0, 4.0, 16)
             comp = evaluate_spinor(qn, bp, (r, 0.3, 0.1, -0.2))
             worst_amp = max(worst_amp, float(np.max(np.abs(comp[:, 2]))))
             rho = obs.reduced_spin_state(qn, bp)

@@ -488,12 +488,14 @@ class TestUsageErrors:
                                       ["spectrum", "--max-levels", "0"],
                                       ["profile", "--m-kev", "1e-160"],
                                       ["table", "--m-kev", "1e-160"],
-                                      ["spectrum", "--m-kev", "1e-160"]])
+                                      ["spectrum", "--m-kev", "1e-160"],
+                                      ["profile", "--B", "1e-320"], ["figure", "--B", "1e-320"],
+                                      ["spectrum", "--B", "1e-320"], ["table", "--B", "1e-320"]])
     def test_rejected_by_the_library(self, argv, capsys):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

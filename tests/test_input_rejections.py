@@ -84,6 +84,8 @@ REJECTIONS = {
         lambda: magnetic_length_m(math.nan), ValueError, "magnetic field must be finite"),
     "magnetic_length_infinite_field": (
         lambda: magnetic_length_m(math.inf), ValueError, "magnetic field must be finite"),
+    "magnetic_length_subnormal_field": (
+        lambda: magnetic_length_m(1e-320), ValueError, "|e| B underflows to 0"),
     "beam_k_square_overflow": (
         lambda: BeamParameters(0.37, k=1e200), ValueError,
         "k squared overflows double precision"),

@@ -504,3 +504,39 @@ class TestSharedImages:
                                                           "jz_gauge", "mz"]
                 assert [quad.hex() for _, _, quad in pairs] \
                     == [value.hex() for value in separate], qn
+
+
+def _j12_rhs_written_out(field, f):
+    """``dirac_j12_rhs_explicit`` with each gamma image formed where it is used."""
+    ex, ey, _ = field.E
+    bx, by, bz = field.B
+    g = [clifford.gamma(m) for m in range(4)]
+    out = ey * f.apply_matrix(g[0]).mul(1) - ex * f.apply_matrix(g[0]).mul(2)
+    out = out - bz * (f.apply_matrix(g[1]).mul(1) + f.apply_matrix(g[2]).mul(2)
+                      + f.apply_matrix(g[3]).mul(3))
+    out = out + bx * f.apply_matrix(g[3]).mul(1) + by * f.apply_matrix(g[3]).mul(2) \
+        + bz * f.apply_matrix(g[3]).mul(3)
+    return (1j * ps.ELECTRON_CHARGE) * out
+
+
+class TestStatedOnce:
+    """Tables derived from one statement, and shared images, keep their written-out values."""
+
+    def test_axis_tables(self):
+        assert ps._CYCLIC == (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
+        assert list(ps.AXIS_PAIRS.items()) == [("x", (2, 3)), ("y", (3, 1)), ("z", (1, 2))]
+        assert list(ps._EPSILON.items()) == [
+            (("x", "y"), ("z", 1.0)), (("y", "x"), ("z", -1.0)),
+            (("y", "z"), ("x", 1.0)), (("z", "y"), ("x", -1.0)),
+            (("z", "x"), ("y", 1.0)), (("x", "z"), ("y", -1.0))]
+        assert ps._CYCLIC_PAIRS == (("x", "y"), ("y", "z"), ("z", "x"))
+
+    @pytest.mark.parametrize("field", range(len(TestSharedImages.FIELDS)))
+    def test_j12_rhs_is_the_written_out_sum(self, field):
+        fld = TestSharedImages.FIELDS[field]
+        for seed in (60, 61):
+            f = random_f(degree=2 + seed % 3, zt=seed % 2, seed=seed + 10 * field)
+            shared = ps.dirac_j12_rhs_explicit(fld, f).coeffs
+            written = _j12_rhs_written_out(fld, f).coeffs
+            assert shared.shape == written.shape
+            assert shared.tobytes() == written.tobytes()
