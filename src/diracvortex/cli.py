@@ -3,7 +3,8 @@
 All physics happens in natural units with m = 1; this module converts the
 Tesla and keV inputs once, serialises results deterministically (17
 significant digits, stable column order) and maps failures to exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error, unwritable --out or
+arithmetic failure.
 """
 
 import argparse
@@ -116,7 +117,8 @@ def _emit(meta, table, fmt, out):
     bad = [name for name, column in table.items() if not _finite(column)]
     if bad:
         raise ValueError(f"non-finite output values in {', '.join(bad)}: double-precision "
-                         "overflow at large l or p, --k-over-m or --rmax")
+                         "overflow at large l or p, or at an extreme --B, --m-kev, "
+                         "--k-over-m or --rmax")
     columns = list(table.values())
     before, between, after, row_sep = ROW_LAYOUT[fmt]
     with _output(out) as stream:
@@ -250,6 +252,13 @@ def _add_state_args(sub):
     sub.add_argument("--spin", choices=("up", "down"), default="up")
 
 
+def _add_grid_args(sub):
+    sub.add_argument("--rmax", type=float, default=4.0)
+    sub.add_argument("--samples", type=int, default=512)
+    sub.add_argument("--normalized", action="store_true",
+                     help="apply the unit-density normalisation squared")
+
+
 def _add_common_args(sub):
     sub.add_argument("--B", type=float, default=1.0, help="magnetic field in Tesla")
     sub.add_argument("--k-over-m", dest="k_over_m", type=float, default=1.0,
@@ -270,18 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser("profile", help="radial profile of j0, jz, jphi, S_phi")
     _add_state_args(prof)
     _add_common_args(prof)
-    prof.add_argument("--rmax", type=float, default=4.0)
-    prof.add_argument("--samples", type=int, default=512)
-    prof.add_argument("--normalized", action="store_true",
-                      help="apply the unit-density normalisation squared")
+    _add_grid_args(prof)
     prof.add_argument("--physical-dr", dest="physical_dr", action="store_true",
                       help="report currents per physical dz x dr")
 
     fig = sub.add_parser("figure", help="azimuthal-current data for the preset panels")
     _add_common_args(fig)
-    fig.add_argument("--rmax", type=float, default=4.0)
-    fig.add_argument("--samples", type=int, default=512)
-    fig.add_argument("--normalized", action="store_true")
+    _add_grid_args(fig)
 
     spect = sub.add_parser("spectrum", help="level table sorted by angular momentum")
     _add_common_args(spect)
@@ -313,7 +317,7 @@ def main(argv=None) -> int:
         try:
             _validate(args)
             code = handlers[args.command](args)
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, ArithmeticError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     for w in caught:
@@ -322,16 +326,19 @@ def main(argv=None) -> int:
 
 
 def _validate(args):
-    """Input rules the library does not check (it rejects bad p, B and max-levels)."""
-    for name in ("B", "k_over_m", "m_kev", "rmax"):
-        if not math.isfinite(getattr(args, name, 0.0)):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite")
-    if getattr(args, "samples", 2) < 2:
+    """The radial-grid rules of ``profile`` and ``figure``: --rmax finite and > 0,
+    --samples in 2..MAX_SAMPLES. The library checks every other input: it
+    rejects a negative p or --B, a --max-levels below 1, and a non-finite --B
+    ("beB / m^2 is not finite"), --k-over-m ("k must be finite") or --m-kev
+    ("mass energy must be finite")."""
+    if not hasattr(args, "rmax"):
+        return
+    if not 0.0 < args.rmax < math.inf:
+        raise ValueError("rmax must be finite and > 0")
+    if args.samples < 2:
         raise ValueError("samples must be >= 2")
-    if getattr(args, "samples", 2) > MAX_SAMPLES:
+    if args.samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}")
-    if getattr(args, "rmax", 1.0) <= 0.0:
-        raise ValueError("rmax must be > 0")
 
 
 if __name__ == "__main__":

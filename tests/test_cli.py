@@ -1,5 +1,7 @@
 """Command-line behaviour: formats, determinism, unit conversion, exit codes."""
 
+import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -10,6 +12,7 @@ import subprocess
 import sys
 import warnings
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -427,6 +430,38 @@ class TestUsageErrors:
         assert code == 2
         assert text == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["table", "--B", "nan"], "beB / m^2 is not finite"),
+        (["spectrum", "--B", "inf"], "beB / m^2 is not finite"),
+        (["table", "--k-over-m", "nan"], "k must be finite"),
+        (["figure", "--k-over-m=-inf"], "k must be finite"),
+        (["profile", "--m-kev", "inf"], "mass energy must be finite"),
+        (["profile", "--rmax", "inf"], "rmax must be finite and > 0"),
+        (["figure", "--rmax", "0"], "rmax must be finite and > 0")])
+    def test_rejection_message(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("out", ["missing/out.txt", "."])
+    @pytest.mark.parametrize("command", ["profile", "figure", "spectrum", "table", "verify"])
+    def test_unwritable_out(self, command, out, monkeypatch, tmp_path, capsys):
+        # a file under a missing directory, or the directory itself
+        monkeypatch.setattr(verify, "run_all", lambda sabotage: [verify.Check("holds", 0.0, 1.0)])
+        assert cli.main([command, "--out", str(tmp_path / out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflow_at_large_field_names_the_field(self, capsys):
+        assert cli.main(["table", "--B", "1e300", "--check"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: non-finite output values in mz_per_abs_e")
+        assert "overflow at large l or p" in err and "--B" in err and "--m-kev" in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv", [["profile", "--l", "160", "--rmax", "40", "--samples", "4"],
                                       ["table", "--l", "60", "--p", "60", "--check"]])
@@ -490,7 +525,10 @@ class TestUsageErrors:
                                       ["table", "--m-kev", "1e-160"],
                                       ["spectrum", "--m-kev", "1e-160"],
                                       ["profile", "--B", "1e-320"], ["figure", "--B", "1e-320"],
-                                      ["spectrum", "--B", "1e-320"], ["table", "--B", "1e-320"]])
+                                      ["spectrum", "--B", "1e-320"], ["table", "--B", "1e-320"],
+                                      # ZeroDivisionError: E = 0 for the ground family
+                                      ["figure", "--B", "1e154", "--normalized"],
+                                      ["table", "--B", "1e300", "--spin", "down"]])
     def test_rejected_by_the_library(self, argv, capsys):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
@@ -511,3 +549,91 @@ class TestReferenceDigests:
         assert cli.main(line.split()) == 0
         stdout = capsys.readouterr().out.encode()
         assert hashlib.sha256(stdout).hexdigest() == REFERENCE_DIGESTS[line]
+
+
+#: option values for the contract fuzz: signed zeros, the smallest subnormal,
+#: tiny, ordinary and huge magnitudes and the non-finite values
+FUZZ_FLOATS = st.sampled_from((0.0, -0.0, 5e-324, 1e-300, 0.37, 1.0, -2.5, 511.0,
+                               1e154, 1e300, math.inf, -math.inf, math.nan))
+FUZZ_INTS = st.sampled_from((-3, -1, 0, 1, 2, 3, 7, 60, 171)) | st.integers(-2, 12)
+#: ``--samples`` up to 200 keeps each run near 2.5 ms; ``spectrum`` grows as
+#: the cube of ``--max-levels`` (171 takes about 1 s), so it is drawn up to 12
+BOUNDED_INTS = {"samples": st.sampled_from((-1, 0, 1, 2, 3)) | st.integers(2, 200),
+                "max_levels": st.integers(-1, 12)}
+
+
+def option_values(action):
+    """Strategy for the value of one parser option; None for a flag."""
+    if action.dest in BOUNDED_INTS:
+        return BOUNDED_INTS[action.dest]
+    if action.choices:
+        return st.sampled_from(action.choices)
+    return {float: FUZZ_FLOATS, int: FUZZ_INTS}.get(action.type)
+
+
+def grammar():
+    """{command: [option action]} of the parser, ``verify``, ``--out`` and ``-h`` left out."""
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a for a in sub._actions if a.dest not in ("help", "out")]
+            for name, sub in commands.choices.items() if name != "verify"}
+
+
+GRAMMAR = grammar()
+
+
+@st.composite
+def cli_argv(draw):
+    """A command and each of its options absent or present, as ``--option=value``."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    for action in GRAMMAR[command]:
+        values = option_values(action)
+        if values is None:
+            if draw(st.booleans()):
+                argv.append(action.option_strings[0])
+        else:
+            value = draw(st.none() | values)
+            if value is not None:
+                argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+def reject_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+def assert_finite_output(text, fmt):
+    """Strict JSON, or CSV whose cells (metadata lines aside) hold no inf or nan."""
+    if fmt == "json":
+        json.loads(text, parse_constant=reject_constant)
+        return
+    for line in text.splitlines():
+        if line.startswith("# "):
+            continue
+        for cell in line.split(","):
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(cell)), line
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(argv=cli_argv())
+@example(argv=["profile", "--out", "/nonexistent/x.csv"])
+@example(argv=["table", "--out", str(Path(__file__).resolve().parent)])
+@example(argv=["figure", "--B", "1e154", "--normalized"])
+@example(argv=["table", "--B", "1e300", "--spin", "down"])
+@example(argv=["table", "--B", "1e300", "--check"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_cli_contract(argv):
+    """Exit 0 with strict, finite output, or exit 2 with empty stdout and one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        assert_finite_output(out.getvalue(), "json" if "--format=json" in argv else "csv")
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

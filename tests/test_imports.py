@@ -1,7 +1,7 @@
 """Every import in the package modules and the tests is used, every function
 the package defines is named somewhere else, the package runs without
-scipy, which only the tests use, and only ``verify`` loads the verify suite
-and ``numpy.random``."""
+scipy, which only the tests use, and only ``verify`` loads the verify suite,
+the polyspinor engine and ``numpy.random``."""
 
 import ast
 from collections import Counter
@@ -85,10 +85,13 @@ def test_package_imports_no_scipy():
 
 
 def test_startup_leaves_out_verify_and_numpy_random():
-    run = run_python("import sys; import diracvortex, diracvortex.cli; "
-                     "print([m for m in ('numpy.random', 'diracvortex.verify') if m in sys.modules])")
+    # the package root re-exports nothing, so importing it loads no numpy,
+    # and only ``verify`` loads the polyspinor engine
+    run = run_python("import sys; import diracvortex; print('numpy' in sys.modules); "
+                     "import diracvortex.cli; print([m for m in ('numpy.random', "
+                     "'diracvortex.verify', 'diracvortex.polyspinor') if m in sys.modules])")
     assert run.returncode == 0, run.stderr.decode()
-    assert run.stdout == b"[]\n"
+    assert run.stdout == b"False\n[]\n"
 
 
 TABLE_CHECK = ("import sys; from diracvortex import cli; "
