@@ -26,6 +26,8 @@ from .states import BeamParameters, QuantumNumbers, energy, spectrum_table
 FIGURE_CASES = (("a", 2, 3), ("b", -2, 3), ("c", -2, 0))
 #: most radii ``profile`` and ``figure`` sample (one row each)
 MAX_SAMPLES = 10**6
+#: largest ``spectrum --max-levels``: the table has about 3 L^2 rows
+MAX_LEVELS = 256
 
 
 def quantum_numbers_from_signed(l_signed: int, p: int, spin: str) -> QuantumNumbers:
@@ -77,10 +79,6 @@ def _strict_json(payload) -> str:
     meta = {key: None if isinstance(value, float) and not math.isfinite(value) else value
             for key, value in payload["meta"].items()}
     return json.dumps({**payload, "meta": meta}, indent=2, default=_item, allow_nan=False)
-
-
-def _write_json(payload, stream):
-    stream.write(_strict_json(payload) + "\n")
 
 
 def _output(out):
@@ -231,13 +229,12 @@ def run_verify(args) -> int:
     checks = verify_mod.run_all(sabotage=args.sabotage)
     meta = {"tool": "diracvortex", "version": __version__,
             "sabotage": args.sabotage or "none"}
+    report = [c.as_dict() for c in checks]
     if args.format == "csv":
-        columns = ("name", "residual", "tolerance", "pass")
-        rows = [(c.name, c.residual, c.tolerance, c.passed) for c in checks]
-        _emit(meta, dict(zip(columns, zip(*rows))), "csv", args.out)
+        _emit(meta, {key: [row[key] for row in report] for key in report[0]}, "csv", args.out)
     else:
         with _output(args.out) as stream:
-            _write_json({"meta": meta, "checks": [c.as_dict() for c in checks]}, stream)
+            stream.write(_strict_json({"meta": meta, "checks": report}) + "\n")
     failed = [c for c in checks if not c.passed]
     for c in failed:
         print(f"FAIL {c.name}: residual {c.residual:.3e} > tolerance {c.tolerance:.1e}",
@@ -326,11 +323,14 @@ def main(argv=None) -> int:
 
 
 def _validate(args):
-    """The radial-grid rules of ``profile`` and ``figure``: --rmax finite and > 0,
-    --samples in 2..MAX_SAMPLES. The library checks every other input: it
-    rejects a negative p or --B, a --max-levels below 1, and a non-finite --B
+    """The radial-grid rules of ``profile`` and ``figure`` (--rmax finite and > 0,
+    --samples in 2..MAX_SAMPLES) and the size cap of ``spectrum`` (--max-levels
+    <= MAX_LEVELS). The library checks every other input: it rejects a
+    negative p or --B, a --max-levels below 1, and a non-finite --B
     ("beB / m^2 is not finite"), --k-over-m ("k must be finite") or --m-kev
     ("mass energy must be finite")."""
+    if getattr(args, "max_levels", 0) > MAX_LEVELS:
+        raise ValueError(f"max_levels must be <= {MAX_LEVELS}")
     if not hasattr(args, "rmax"):
         return
     if not 0.0 < args.rmax < math.inf:

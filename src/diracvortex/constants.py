@@ -11,12 +11,11 @@ import math
 HBAR_J_S = 1.054571817e-34          # reduced Planck constant, J s
 ELEMENTARY_CHARGE_C = 1.602176634e-19   # |e|, C (exact since 2019 SI)
 SPEED_OF_LIGHT_M_S = 299792458.0    # c, m/s (exact)
-ELECTRON_MASS_KEV = 510.99895000    # electron rest energy, keV
 
 KEV_TO_J = 1e3 * ELEMENTARY_CHARGE_C
 
 
-def beb_over_m2(b_tesla: float, m_kev: float = 511.0) -> float:
+def beb_over_m2(b_tesla: float, m_kev: float) -> float:
     """Magnetic coupling B|e| in units of the squared mass energy.
 
     In SI the energy-squared combination is hbar * c^2 * |e| * B, and the

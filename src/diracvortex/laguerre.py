@@ -136,12 +136,6 @@ def gauss_laguerre_nodes(degree: int):
     return nodes, weights
 
 
-def integrate_weighted(fn, degree: int) -> float:
-    """Integral of fn(x) e^{-x} over [0, inf) for polynomial fn of degree <= degree."""
-    nodes, weights = gauss_laguerre_nodes(degree)
-    return float(np.sum(weights * fn(nodes)))
-
-
 def weighted_inner_product(p1: int, p2: int, l: int, weight_power: int) -> float:
     """Integral of x^w L_{p1}^l(x) L_{p2}^l(x) e^{-x} over [0, inf).
 
@@ -152,9 +146,9 @@ def weighted_inner_product(p1: int, p2: int, l: int, weight_power: int) -> float
     """
     if min(p1, p2, l, weight_power) < 0:
         raise ValueError("indices and weight power must be >= 0")
-    return integrate_weighted(
-        lambda x: x**weight_power * eval_laguerre(p1, l, x) * eval_laguerre(p2, l, x),
-        p1 + p2 + weight_power)
+    x, weights = gauss_laguerre_nodes(p1 + p2 + weight_power)
+    return float(np.sum(weights * (x**weight_power * eval_laguerre(p1, l, x)
+                                   * eval_laguerre(p2, l, x))))
 
 
 def factorial_ratio(l: int, p: int) -> float:

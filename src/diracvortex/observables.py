@@ -82,8 +82,7 @@ def current_profile(qn: QuantumNumbers, bp: BeamParameters, r):
 
 def current_density(qn: QuantumNumbers, bp: BeamParameters, r: float) -> CurrentSample:
     """Closed-form current components at a single radius."""
-    j0, jr, jphi, jz = current_profile(qn, bp, np.array([r]))
-    return CurrentSample(float(j0[0]), float(jr[0]), float(jphi[0]), float(jz[0]))
+    return CurrentSample(*map(float, current_profile(qn, bp, r)))
 
 
 def current_from_spinor(qn: QuantumNumbers, bp: BeamParameters, point):

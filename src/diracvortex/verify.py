@@ -1,10 +1,11 @@
 """One-shot verification suite: every identity the package rests on.
 
 Each check produces a residual and a tolerance; the CLI serialises the
-result list and exits nonzero if anything fails.  The same functions back
-the acceptance tests, so the command line and the test suite cannot drift
-apart.  ``sabotage="energy"`` feeds a displaced energy into the Dirac sweep
-as a negative control; the suite must then fail.
+result list and exits nonzero if anything fails.  The acceptance tests
+check the same identities by their own routes; only the last of them runs
+this suite, through the ``verify`` command.  ``sabotage="energy"`` feeds a
+displaced energy into the Dirac sweep as a negative control; the suite must
+then fail.
 """
 
 from dataclasses import dataclass, asdict
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import clifford, laguerre, observables as obs, polyspinor as ps
 from .constants import magnetic_length_m
-from .states import (BeamParameters, QuantumNumbers, energy, evaluate_spinor,
+from .states import (FAMILIES, BeamParameters, QuantumNumbers, energy, evaluate_spinor,
                      iter_states, normalization_constant, spectrum_table)
 
 #: beams with m = 1 used by the sweeps, weak to strong coupling
@@ -208,9 +209,7 @@ def ring_checks():
     bp = BEAM
     worst_root = 0.0
     worst_count = 0.0
-    cases = [QuantumNumbers(1, 1, 2, 3), QuantumNumbers(-1, 1, 2, 3),
-             QuantumNumbers(1, -1, 2, 3), QuantumNumbers(-1, -1, 2, 3)]
-    for qn in cases:
+    for qn in (QuantumNumbers(spin, oam, 2, 3) for spin, oam in FAMILIES):
         _, l2, p2 = qn.spin_orbit_mixing
         radii = obs.sign_change_radii(qn)
         # dense scan oracle; every case has rings, so radii is never empty
@@ -249,7 +248,7 @@ def ground_protection_checks():
             rho = obs.reduced_spin_state(qn, bp)
             worst_exact = max(worst_exact,
                               abs(rho.purity - 1.0),
-                              abs(obs.magnetic_moment(qn, bp)) if bp.beB > 0 else 0.0,
+                              abs(obs.magnetic_moment(qn, bp)),
                               abs(obs.gauge_covariant_jz(qn, bp) - (2 * qn.p + 0.5)))
     return [Check("ground_spin_orbit_amplitude", worst_amp, 0.0),
             Check("ground_exact_observables", worst_exact, 0.0)]
@@ -266,14 +265,14 @@ def half_integer_checks():
 
 def gordon_checks():
     bp = BEAM
+    grid = np.linspace(0.05, 6.0, 200)
     min_order = math.inf
     for qn in (QuantumNumbers(1, 1, 2, 3), QuantumNumbers(-1, 1, 1, 1),
                QuantumNumbers(1, -1, 1, 2)):
-        coarse = obs.gordon_residual(qn, bp, np.linspace(0.05, 6.0, 200))
+        coarse = obs.gordon_residual(qn, bp, grid)
         fine = obs.gordon_residual(qn, bp, np.linspace(0.05, 6.0, 400))
         min_order = min(min_order, math.log2(coarse / fine))
     ground_qn = QuantumNumbers(-1, -1, 2, 0)
-    grid = np.linspace(0.05, 6.0, 200)
     scale = float(np.max(np.abs(obs.current_profile(ground_qn, bp, grid)[3])))
     ground = obs.gordon_residual(ground_qn, bp, grid) / scale
     return [Check("gordon_convergence_order", max(0.0, 1.9 - min_order), 0.0),

@@ -255,13 +255,27 @@ class TestVerifyCommand:
                                     "breaks,0.5,9.9999999999999998e-13,false"]
         assert err == "FAIL breaks: residual 5.000e-01 > tolerance 1.0e-12\n"
 
+    def test_both_formats_carry_the_same_rows(self, monkeypatch, capsys):
+        checks = [verify.Check("numpy", np.float64(1) / 3e13, 1e-12),
+                  verify.Check("exact", 0.0, 0.0), verify.Check("breaks", 0.5, 1e-12)]
+        monkeypatch.setattr(verify, "run_all", lambda sabotage: checks)
+        reports = {}
+        for fmt in ("json", "csv"):
+            assert cli.main(["verify", "--format", fmt]) == 1
+            reports[fmt] = capsys.readouterr().out
+        header, *rows = [line.split(",") for line in reports["csv"].splitlines()
+                         if not line.startswith("# ")]
+        assert header == ["name", "residual", "tolerance", "pass"]
+        assert rows == [[fmt_oracle(check[key]) for key in header]
+                        for check in json.loads(reports["json"])["checks"]]
+        assert [row[0] for row in rows] == ["numpy", "exact", "breaks"]
+
 
 class TestJsonWriter:
     def test_numpy_scalars_keep_their_type(self):
-        buf = io.StringIO()
-        cli._write_json({"meta": {}, "x": np.bool_(True), "n": np.int64(3),
-                         "v": np.float64(0.25)}, buf)
-        assert json.loads(buf.getvalue()) == {"meta": {}, "x": True, "n": 3, "v": 0.25}
+        text = cli._strict_json({"meta": {}, "x": np.bool_(True), "n": np.int64(3),
+                                 "v": np.float64(0.25)})
+        assert json.loads(text) == {"meta": {}, "x": True, "n": 3, "v": 0.25}
 
 
 def fmt_oracle(value) -> str:
@@ -557,7 +571,7 @@ FUZZ_FLOATS = st.sampled_from((0.0, -0.0, 5e-324, 1e-300, 0.37, 1.0, -2.5, 511.0
                                1e154, 1e300, math.inf, -math.inf, math.nan))
 FUZZ_INTS = st.sampled_from((-3, -1, 0, 1, 2, 3, 7, 60, 171)) | st.integers(-2, 12)
 #: ``--samples`` up to 200 keeps each run near 2.5 ms; ``spectrum`` grows as
-#: the cube of ``--max-levels`` (171 takes about 1 s), so it is drawn up to 12
+#: the square of ``--max-levels`` (171 takes about 1 s), so it is drawn up to 12
 BOUNDED_INTS = {"samples": st.sampled_from((-1, 0, 1, 2, 3)) | st.integers(2, 200),
                 "max_levels": st.integers(-1, 12)}
 
@@ -623,6 +637,7 @@ def assert_finite_output(text, fmt):
 @example(argv=["figure", "--B", "1e154", "--normalized"])
 @example(argv=["table", "--B", "1e300", "--spin", "down"])
 @example(argv=["table", "--B", "1e300", "--check"])
+@example(argv=["spectrum", "--max-levels", "257"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_cli_contract(argv):

@@ -1,5 +1,6 @@
 """Every import in the package modules and the tests is used, every function
-the package defines is named somewhere else, the package runs without
+and module-level UPPER_CASE constant the package defines is named somewhere
+else, the package runs without
 scipy, which only the tests use, and only ``verify`` loads the verify suite,
 the polyspinor engine and ``numpy.random``."""
 
@@ -43,16 +44,27 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def module_constants(source: str):
+    """Each module-level UPPER_CASE name that ``source`` assigns, once per assignment."""
+    return [target.id for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)]
+
+
 def dead_helpers(package_sources, all_sources):
     """Functions and methods (dunders excepted) defined in ``package_sources``
-    whose name appears, as a whole word, nowhere in ``all_sources`` but in a def."""
+    whose name appears, as a whole word, nowhere in ``all_sources`` but in a def,
+    and module-level UPPER_CASE constants named nowhere but in their assignments."""
     defined = {node.name for source in package_sources for node in ast.walk(ast.parse(source))
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not (node.name.startswith("__") and node.name.endswith("__"))}
+    assigned = Counter(name for source in package_sources for name in module_constants(source))
     text = "\n".join(all_sources)
     words = Counter(re.findall(r"\w+", text))
     defs = Counter(re.findall(r"\bdef\s+(\w+)", text))
-    return sorted(name for name in defined if words[name] == defs[name])
+    return sorted([name for name in defined if words[name] == defs[name]]
+                  + [name for name, count in assigned.items() if words[name] == count])
 
 
 def test_detects_a_dead_helper():
@@ -60,6 +72,14 @@ def test_detects_a_dead_helper():
               "def used():\n    pass\ndef unused():\n    pass\ndef unused_too():\n    pass\n"
     caller = "A().kept()\nused()  # unused_tool is another name\n"
     assert dead_helpers([package], [package, caller]) == ["unused", "unused_too"]
+
+
+def test_detects_a_dead_constant():
+    package = "KEPT = 1\nSHADOWED = 2\nSHADOWED = 3\nDEAD: float = 4.0\nlower = 5\n" \
+              "def f():\n    LOCAL = KEPT\n    return LOCAL\n"
+    caller = "print(f(), SHADOWED, lower)  # DEAD_END is another name\n"
+    assert dead_helpers([package], [package, caller]) == ["DEAD"]
+    assert dead_helpers([package], [package, "f()\n"]) == ["DEAD", "SHADOWED"]
 
 
 def test_no_dead_helpers():

@@ -71,7 +71,7 @@ REJECTIONS = {
     "coupling_overflow": (
         lambda: beb_over_m2(1e300, 1e-100), ValueError, "beB / m^2 is not finite"),
     "coupling_nan_field": (
-        lambda: beb_over_m2(math.nan), ValueError, "beB / m^2 is not finite"),
+        lambda: beb_over_m2(math.nan, 511.0), ValueError, "beB / m^2 is not finite"),
     "coupling_nonpositive_mass": (
         lambda: beb_over_m2(1.0, 0.0), ValueError, "mass energy must be > 0"),
     "magnetic_length_negative_field": (
@@ -136,3 +136,14 @@ def test_cli_caps_samples_before_allocating(command, monkeypatch, capsys):
     assert cli.main([command, "--samples", str(cli.MAX_SAMPLES + 1)]) == 2
     assert capsys.readouterr() == ("", f"error: samples must be <= {cli.MAX_SAMPLES}\n")
     cli._validate(cli.build_parser().parse_args([command, "--samples", str(cli.MAX_SAMPLES)]))
+
+
+def test_cli_caps_max_levels_before_building_the_table(monkeypatch, capsys):
+    def build(args):
+        raise AssertionError(f"spectrum ran with --max-levels {args.max_levels}")
+
+    monkeypatch.setattr(cli, "run_spectrum", build)
+    assert cli.main(["spectrum", "--max-levels", str(cli.MAX_LEVELS + 1)]) == 2
+    assert capsys.readouterr() == ("", f"error: max_levels must be <= {cli.MAX_LEVELS}\n")
+    cli._validate(cli.build_parser().parse_args(["spectrum", "--max-levels",
+                                                 str(cli.MAX_LEVELS)]))
