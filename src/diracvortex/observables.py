@@ -95,7 +95,7 @@ def current_from_spinor(qn: QuantumNumbers, bp: BeamParameters, point):
     psi = evaluate_spinor(qn, bp, point)
     g0 = clifford.GAMMA0
     gr, gphi = clifford.gamma_cylindrical(point[1])
-    return tuple(np.real(np.einsum("...i,...ij,...j->...", psi.conj(), mat, psi))
+    return tuple(_bilinear(psi, mat)
                  for mat in (clifford.IDENTITY4, g0 @ gr, g0 @ gphi, g0 @ clifford.GAMMA3))
 
 
@@ -239,12 +239,6 @@ def counterflow_rings(qn: QuantumNumbers, bp: BeamParameters):
     return intervals[(len(intervals) - 1) % 2::2]
 
 
-def _jz_bilinear(psi) -> np.ndarray:
-    """j_z = Psi^dag gamma^0 gamma^3 Psi at each row of ``psi`` (shape (n, 4))."""
-    return (2.0 * np.real(np.conj(psi[:, 0]) * psi[:, 2])
-            - 2.0 * np.real(np.conj(psi[:, 1]) * psi[:, 3]))
-
-
 def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
     """Pointwise defect of splitting j_z into convective and spin-curl parts.
 
@@ -264,12 +258,11 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
         raise ValueError("grid must be uniform, increasing and strictly positive")
     m = bp.m
     psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0))
-    c0, c1, c2, c3 = psi[:, 0], psi[:, 1], psi[:, 2], psi[:, 3]
-    jz = _jz_bilinear(psi)
-    bar_density = (np.abs(c0)**2 + np.abs(c1)**2 - np.abs(c2)**2 - np.abs(c3)**2)
-    orbital = bp.k / m * bar_density
-    # PsiBar Sigma_phi Psi at phi = 0 is the sigma_y bilinear, upper minus lower block
-    mag_phi = (2.0 * np.imag(np.conj(c0) * c1) - 2.0 * np.imag(np.conj(c2) * c3)) / (2.0 * m)
+    g0 = clifford.GAMMA0
+    jz = _bilinear(psi, g0 @ clifford.GAMMA3)
+    orbital = bp.k / m * _bilinear(psi, g0)
+    # PsiBar Sigma_phi Psi at phi = 0 is the Sigma_y bilinear
+    mag_phi = _bilinear(psi, g0 @ clifford.SIGMA_Y) / (2.0 * m)
     a = r * mag_phi
     da = (a[2:] - a[:-2]) / (r[2:] - r[:-2])
     curl = bp.coordinate_scale * da / r[1:-1]
@@ -301,6 +294,11 @@ def _sampled(qn, bp, extra_degree, beb_sign, k_sign):
     return nodes, weights, psi
 
 
+def _bilinear(psi, mat) -> np.ndarray:
+    """Psi^dag mat Psi over the last axis of ``psi``; ``mat`` is a ``clifford`` matrix."""
+    return np.real(np.einsum("...i,...ij,...j->...", psi.conj(), mat, psi))
+
+
 def _weighted_sum(weights, nodes, values) -> float:
     """Gauss sum of ``values`` with the rule's e^{-x} weight undone."""
     return float(np.sum(weights * (values * np.exp(nodes))))
@@ -309,19 +307,20 @@ def _weighted_sum(weights, nodes, values) -> float:
 def integrated_density_quadrature(qn, bp) -> float:
     """Transverse integral of j0 by quadrature of the sampled spinor."""
     nodes, weights, psi = _node_samples(qn, bp)
-    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1))
+    return math.pi * _weighted_sum(weights, nodes, _bilinear(psi, clifford.IDENTITY4))
 
 
 def integrated_jz_quadrature(qn, bp) -> float:
     """Transverse integral of j_z by quadrature of the sampled spinor."""
     nodes, weights, psi = _node_samples(qn, bp)
-    return math.pi * _weighted_sum(weights, nodes, _jz_bilinear(psi))
+    jz = _bilinear(psi, clifford.GAMMA0 @ clifford.GAMMA3)
+    return math.pi * _weighted_sum(weights, nodes, jz)
 
 
 def r2_moment_quadrature(qn, bp) -> float:
     """Transverse integral of r^2 Psi^dag Psi by quadrature."""
     nodes, weights, psi = _node_samples(qn, bp, 2)
-    return math.pi * _weighted_sum(weights, nodes, np.sum(np.abs(psi)**2, axis=1) * nodes)
+    return math.pi * _weighted_sum(weights, nodes, _bilinear(psi, clifford.IDENTITY4) * nodes)
 
 
 def gauge_covariant_jz_quadrature(qn, bp) -> float:
@@ -338,19 +337,19 @@ def magnetic_moment_quadrature(qn, bp) -> float:
     if bp.beB <= 0.0:
         raise ValueError("magnetic moment requires beB > 0")
     nodes, weights, psi = _node_samples(qn, bp, 2)
-    _, gphi = clifford.gamma_cylindrical(0.0)
-    mat = clifford.GAMMA0 @ gphi
-    jphi = np.real(np.einsum("ni,ij,nj->n", np.conj(psi), mat, psi))
+    jphi = _bilinear(psi, clifford.GAMMA0 @ clifford.gamma_cylindrical(0.0)[1])
     # r_phys = sqrt(2/beB) sqrt(x): the sqrt(x) joins the weights
     integral = 0.5 * _weighted_sum(weights * np.sqrt(nodes), nodes, jphi)
     return -math.pi * math.sqrt(2.0 / bp.beB) * integral
 
 
 def reduced_spin_quadrature(qn, bp) -> ReducedSpinState:
-    """Diagonal of the reduced spin state from component-wise quadrature."""
+    """Diagonal of the reduced spin state from quadrature of the projectors (1 +- Sigma_z)/2."""
     nodes, weights, psi = _node_samples(qn, bp)
-    total_up = _weighted_sum(weights, nodes, np.abs(psi[:, 0])**2 + np.abs(psi[:, 2])**2)
-    total_down = _weighted_sum(weights, nodes, np.abs(psi[:, 1])**2 + np.abs(psi[:, 3])**2)
+    up = _bilinear(psi, (clifford.IDENTITY4 + clifford.SIGMA_Z) / 2)
+    down = _bilinear(psi, (clifford.IDENTITY4 - clifford.SIGMA_Z) / 2)
+    total_up = _weighted_sum(weights, nodes, up)
+    total_down = _weighted_sum(weights, nodes, down)
     norm = total_up + total_down
     return ReducedSpinState(prob_up=total_up / norm, prob_down=total_down / norm)
 

@@ -219,8 +219,7 @@ def apply_gauge_momentum(mu: int, f: PolyGaussSpinor, field: FieldConfig) -> Pol
 
 def _coordinate_lower(mu: int, f: PolyGaussSpinor) -> PolyGaussSpinor:
     """x_mu f with the index down: (t, -x, -y, -z)."""
-    x_mu = f.mul(mu)
-    return x_mu if mu == 0 else -1.0 * x_mu
+    return _index(mu, clifford.METRIC_SIGNS) * f.mul(mu)
 
 
 def _dirac_terms(f: PolyGaussSpinor, field: FieldConfig):

@@ -89,6 +89,32 @@ def test_no_dead_helpers():
     assert dead_helpers(package, package + others) == []
 
 
+def component_subscripts(source: str):
+    """Source text of every subscript whose index is a tuple ending in an integer
+    constant, such as ``psi[:, 2]`` or ``psi[..., -1]``: one spinor component picked by hand."""
+    def is_int(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return (isinstance(node, ast.Constant) and isinstance(node.value, int)
+                and not isinstance(node.value, bool))
+
+    return [ast.get_source_segment(source, node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+            and node.slice.elts and is_int(node.slice.elts[-1])]
+
+
+def test_detects_a_component_subscript():
+    snippet = "a = psi[:, 2]\nb = psi[..., 0]\nc = psi[:, -1]\nd = psi[1]\ne = psi[:, k]\n" \
+              "f = psi[0, :]\ng = psi[1:]\nh = psi[:, True]\n"
+    assert component_subscripts(snippet) == ["psi[:, 2]", "psi[..., 0]", "psi[:, -1]"]
+
+
+def test_observables_reads_no_spinor_component_by_hand():
+    # the Dirac representation lives in ``clifford``; observables contract with its matrices
+    source = (ROOT / "src" / "diracvortex" / "observables.py").read_text()
+    assert component_subscripts(source) == []
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports the package from src."""
     env = dict(os.environ)

@@ -10,7 +10,7 @@ import pytest
 from diracvortex import clifford, laguerre, observables as obs
 from diracvortex.laguerre import eval_laguerre
 from diracvortex.states import (FAMILIES, BeamParameters, QuantumNumbers, energy,
-                                evaluate_spinor)
+                                evaluate_spinor, iter_states)
 
 BP = BeamParameters(beB=0.37, m=1.0, k=0.8)
 SETTINGS = [BeamParameters(beB=1e-10, m=1.0, k=1.0),
@@ -453,3 +453,59 @@ class TestGordon:
             obs.gordon_residual(qn, BP, np.array([0.0, 0.1, 0.2, 0.3, 0.4]))
         with pytest.raises(ValueError):
             obs.gordon_residual(qn, BP, np.array([0.1, 0.2]))
+
+
+HAND_WRITTEN_BEAMS = [BeamParameters(beB=0.37, m=1.0, k=0.8),
+                      BeamParameters(beB=1e-10, m=1.0, k=1.0),
+                      BeamParameters(beB=1.0, m=1.0, k=3.0),
+                      BeamParameters(beB=1e3, m=1.0, k=10.0),
+                      BeamParameters(beB=0.37, m=1.0, k=-0.0)]
+
+
+class TestHandWrittenIntegrands:
+    """Every contraction in ``observables`` goes through one matrix helper; the
+    integrands written out component by component in the standard representation
+    give the same sums, float for float."""
+
+    @staticmethod
+    def sampled(qn, bp, extra_degree=0):
+        nodes, weights, psi = obs._node_samples(qn, bp, extra_degree)
+        return nodes, weights, psi, np.sum(np.abs(psi)**2, axis=1)
+
+    @staticmethod
+    def gordon_by_components(qn, bp, r):
+        m = bp.m
+        psi = evaluate_spinor(qn, bp, (r, 0.0, 0.0, 0.0))
+        c0, c1, c2, c3 = psi[:, 0], psi[:, 1], psi[:, 2], psi[:, 3]
+        jz = 2.0 * np.real(np.conj(c0) * c2) - 2.0 * np.real(np.conj(c1) * c3)
+        bar_density = np.abs(c0)**2 + np.abs(c1)**2 - np.abs(c2)**2 - np.abs(c3)**2
+        mag_phi = (2.0 * np.imag(np.conj(c0) * c1) - 2.0 * np.imag(np.conj(c2) * c3)) / (2.0 * m)
+        a = r * mag_phi
+        curl = bp.coordinate_scale * ((a[2:] - a[:-2]) / (r[2:] - r[:-2])) / r[1:-1]
+        return float(np.max(np.abs(jz[1:-1] - bp.k / m * bar_density[1:-1] - curl)))
+
+    @pytest.mark.parametrize("bp", HAND_WRITTEN_BEAMS)
+    def test_companions_equal_component_sums(self, bp):
+        grid = np.linspace(0.05, 6.0, 200)
+        for qn in iter_states(6, 6):
+            nodes, weights, psi, density = self.sampled(qn, bp)
+            c0, c1, c2, c3 = psi[:, 0], psi[:, 1], psi[:, 2], psi[:, 3]
+            int_j0 = math.pi * obs._weighted_sum(weights, nodes, density)
+            jz = 2.0 * np.real(np.conj(c0) * c2) - 2.0 * np.real(np.conj(c1) * c3)
+            up = obs._weighted_sum(weights, nodes, np.abs(c0)**2 + np.abs(c2)**2)
+            down = obs._weighted_sum(weights, nodes, np.abs(c1)**2 + np.abs(c3)**2)
+            nodes2, weights2, psi2, density2 = self.sampled(qn, bp, 2)
+            r2 = math.pi * obs._weighted_sum(weights2, nodes2, density2 * nodes2)
+            mat = clifford.GAMMA0 @ clifford.gamma_cylindrical(0.0)[1]
+            jphi = np.real(np.einsum("ni,ij,nj->n", np.conj(psi2), mat, psi2))
+            mz = (-math.pi * math.sqrt(2.0 / bp.beB)
+                  * (0.5 * obs._weighted_sum(weights2 * np.sqrt(nodes2), nodes2, jphi)))
+            spin = obs.reduced_spin_quadrature(qn, bp)
+            assert obs.integrated_density_quadrature(qn, bp) == int_j0
+            assert obs.integrated_jz_quadrature(qn, bp) == math.pi * obs._weighted_sum(
+                weights, nodes, jz)
+            assert obs.r2_moment_quadrature(qn, bp) == r2
+            assert obs.gauge_covariant_jz_quadrature(qn, bp) == qn.canonical_jz + r2 / int_j0
+            assert obs.magnetic_moment_quadrature(qn, bp) == mz
+            assert (spin.prob_up, spin.prob_down) == (up / (up + down), down / (up + down))
+            assert obs.gordon_residual(qn, bp, grid) == self.gordon_by_components(qn, bp, grid)

@@ -87,6 +87,16 @@ class TestPrimitives:
                     g = (1.0 / g.max_abs()) * g
         assert applications == 10000
 
+    def test_coordinate_lower_follows_the_metric(self):
+        # x_0 = t and x_i = -x^i: the time coordinate keeps its sign
+        f = random_f(seed=7)
+        assert np.array_equal(ps._coordinate_lower(0, f).coeffs, f.mul(0).coeffs)
+        for mu in (1, 2, 3):
+            assert np.array_equal(ps._coordinate_lower(mu, f).coeffs, (-1.0 * f.mul(mu)).coeffs)
+        for mu in (-1, 4):
+            with pytest.raises(ValueError, match="index must be 0..3"):
+                ps._coordinate_lower(mu, f)
+
     def test_incompatible_operands_rejected(self):
         f = random_f(seed=6)
         base = {"energy": f.energy, "kz": f.kz, "mass": f.mass, "scale": f.scale}
