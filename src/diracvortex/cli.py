@@ -226,6 +226,9 @@ def run_table(args) -> int:
 
 def run_verify(args) -> int:
     from . import verify as verify_mod
+    if args.out:
+        # an unwritable --out fails before the suite runs; "a" truncates nothing
+        open(args.out, "a").close()
     checks = verify_mod.run_all(sabotage=args.sabotage)
     meta = {"tool": "diracvortex", "version": __version__,
             "sabotage": args.sabotage or "none"}

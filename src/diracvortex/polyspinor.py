@@ -49,15 +49,13 @@ class FieldConfig:
     E: tuple = (0.0, 0.0, 0.0)
 
     def field_strength(self) -> np.ndarray:
-        """Lower-index tensor F_{mu nu} for the potential used here."""
+        """Lower-index tensor F_{mu nu}, the one statement of the field; F_{0j} = E_j."""
         f = np.zeros((4, 4))
-        for i in range(3):
-            f[i + 1, 0] = -self.E[i]
-            f[0, i + 1] = +self.E[i]
-        bx, by, bz = self.B
-        f[1, 2], f[2, 1] = -bz, bz
-        f[2, 3], f[3, 2] = -bx, bx
-        f[3, 1], f[1, 3] = -by, by
+        f[0, 1:], f[1:, 0] = self.E, np.negative(self.E)
+        # B_l sits where the rotation generator J_l sits: -B_l at its index pair
+        for axis, b in zip("xyz", self.B, strict=True):
+            mu, nu = AXIS_PAIRS[axis]
+            f[mu, nu], f[nu, mu] = -b, b
         return f
 
 
@@ -200,15 +198,11 @@ def _index(mu: int, per_index):
 
 
 def _potential_action(mu: int, f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
-    """A_mu f with lower index: A_0 = -E.x, A_i = -((1/2) B x r)_i."""
-    ex, ey, ez = field.E
-    bx, by, bz = field.B
-    terms = _index(mu, (((-ex, 1), (-ey, 2), (-ez, 3)),
-                        ((-0.5 * by, 3), (0.5 * bz, 2)),
-                        ((-0.5 * bz, 1), (0.5 * bx, 3)),
-                        ((-0.5 * bx, 2), (0.5 * by, 1))))
+    """A_mu f with lower index, read off F: A_0 = -F_{0j} x^j, A_j = -(1/2) F_{jk} x^k."""
+    weight = _index(mu, (1.0, 0.5, 0.5, 0.5))
+    row = field.field_strength()[mu].tolist()
     # a term with a zero coefficient adds only zeros (and a wider box), so it is left out
-    return _sum([coef * f.mul(nu) for coef, nu in terms if coef], f)
+    return _sum([(-weight * row[nu]) * f.mul(nu) for nu in (1, 2, 3) if row[nu]], f)
 
 
 def apply_gauge_momentum(mu: int, f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:

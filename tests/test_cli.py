@@ -467,6 +467,32 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("out", ["missing/r.json", "."])
+    def test_verify_unwritable_out_fails_before_the_suite(self, out, fmt, monkeypatch,
+                                                          tmp_path, capsys):
+        def suite(sabotage):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(verify, "run_all", suite)
+        assert cli.main(["verify", "--format", fmt, "--out", str(tmp_path / out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_keeps_an_existing_report_when_the_suite_fails(self, monkeypatch,
+                                                                  tmp_path, capsys):
+        def suite(sabotage):
+            raise ArithmeticError("float division by zero")
+
+        report = tmp_path / "r.json"
+        report.write_bytes(b'{"old": "report"}\n')
+        monkeypatch.setattr(verify, "run_all", suite)
+        assert cli.main(["verify", "--out", str(report)]) == 2
+        assert capsys.readouterr() == ("", "error: float division by zero\n")
+        assert report.read_bytes() == b'{"old": "report"}\n'
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_overflow_at_large_field_names_the_field(self, capsys):

@@ -2,6 +2,7 @@
 the commutator identities, all on machine-precision residuals."""
 
 from fractions import Fraction
+import itertools
 import math
 
 import numpy as np
@@ -183,7 +184,11 @@ class TestFastPathOracles:
                   ps.FieldConfig(E=(0.0, 0.0, 0.8)),
                   ps.FieldConfig(B=(0.3, 0.0, -0.2), E=(0.0, 0.5, 0.0)),
                   ps.FieldConfig(B=(0.3, -0.2, 0.8), E=(0.1, 0.5, -0.4)),
-                  ps.FieldConfig()]
+                  ps.FieldConfig(),
+                  ps.FieldConfig(B=(-0.0, 0.5, 0.0), E=(0.2, -0.0, 0.0)),
+                  # np.float64 components, as verify builds its fields
+                  ps.FieldConfig(B=tuple(np.random.default_rng(11).uniform(-1, 1, 3)),
+                                 E=tuple(np.random.default_rng(11).uniform(-1, 1, 3)))]
         for fld in fields:
             for mu in range(4):
                 fast = trimmed(ps._potential_action(mu, f, fld)).coeffs
@@ -550,3 +555,37 @@ class TestStatedOnce:
             written = _j12_rhs_written_out(fld, f).coeffs
             assert shared.shape == written.shape
             assert shared.tobytes() == written.tobytes()
+
+    @staticmethod
+    def _written_out_tensor(field):
+        """F_{mu nu} with every entry placed by hand."""
+        f = np.zeros((4, 4))
+        for i in range(3):
+            f[i + 1, 0] = -field.E[i]
+            f[0, i + 1] = +field.E[i]
+        bx, by, bz = field.B
+        f[1, 2], f[2, 1] = -bz, bz
+        f[2, 3], f[3, 2] = -bx, bx
+        f[3, 1], f[1, 3] = -by, by
+        return f
+
+    def test_field_tensor_is_the_written_out_tensor(self):
+        # signed zeros included: every entry keeps its bits
+        values = (0.0, -0.0, 0.7, -1.3)
+        for comps in itertools.product(values, repeat=6):
+            fld = ps.FieldConfig(B=comps[:3], E=comps[3:])
+            assert fld.field_strength().tobytes() == self._written_out_tensor(fld).tobytes(), comps
+
+    @pytest.mark.parametrize("field", [ps.FieldConfig(B=(0.3, -0.2)),
+                                       ps.FieldConfig(B=(0.3, -0.2, 0.8, 0.1)),
+                                       ps.FieldConfig(E=(0.1, 0.5)),
+                                       ps.FieldConfig(E=(0.1, 0.5, -0.4, 0.2))])
+    def test_malformed_field_rejected_by_every_reader(self, field):
+        f = random_f(degree=2, zt=1, seed=62)
+        with pytest.raises(ValueError):
+            field.field_strength()
+        for mu in range(4):
+            with pytest.raises(ValueError):
+                ps.apply_gauge_momentum(mu, f, field)
+        with pytest.raises(ValueError):
+            ps.apply_dirac(f, field)
