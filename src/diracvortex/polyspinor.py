@@ -50,13 +50,17 @@ class FieldConfig:
 
     def field_strength(self) -> np.ndarray:
         """Lower-index tensor F_{mu nu}, the one statement of the field; F_{0j} = E_j."""
-        f = np.zeros((4, 4))
-        f[0, 1:], f[1:, 0] = self.E, np.negative(self.E)
-        # B_l sits where the rotation generator J_l sits: -B_l at its index pair
-        for axis, b in zip("xyz", self.B, strict=True):
-            mu, nu = AXIS_PAIRS[axis]
-            f[mu, nu], f[nu, mu] = -b, b
-        return f
+        # read-only, once per instance, not per value: B = (-0.0, 0, 1) == (0.0, 0, 1)
+        if "_tensor" not in self.__dict__:
+            f = np.zeros((4, 4))
+            f[0, 1:], f[1:, 0] = self.E, np.negative(self.E)
+            # B_l sits where the rotation generator J_l sits: -B_l at its index pair
+            for axis, b in zip("xyz", self.B, strict=True):
+                mu, nu = AXIS_PAIRS[axis]
+                f[mu, nu], f[nu, mu] = -b, b
+            f.flags.writeable = False
+            object.__setattr__(self, "_tensor", f)
+        return self._tensor
 
 
 class PolyGaussSpinor:
@@ -90,28 +94,31 @@ class PolyGaussSpinor:
                                                    self.mass, self.scale)
         return out
 
-    def _check_compatible(self, other):
+    def _combine(self, other, op):
+        """``op(self, other)`` for np.add or np.subtract; a mismatched pair pads self only."""
         if (self.energy, self.kz, self.mass, self.scale) \
                 != (other.energy, other.kz, other.mass, other.scale):
             for name in ("energy", "kz", "mass", "scale"):
                 if getattr(self, name) != getattr(other, name):
                     raise ValueError(f"operands carry different {name}")
-
-    def __add__(self, other):
-        self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
         if a.shape == b.shape:
-            return self._like(a + b)
-        shape = tuple(map(max, a.shape, b.shape))
-        out = _padded(a, shape)
-        out += _padded(b, shape)
-        return self._like(out)
+            return self._like(op(a, b))
+        return self._like(_into(_padded(a, tuple(map(max, a.shape, b.shape))), b, op))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        return self._combine(other, np.subtract)
 
     def __rmul__(self, scalar):
         return self._like(self.coeffs * scalar)
+
+    def _times(self, scalar):
+        """``scalar * self`` in place, for a result just built."""
+        self.coeffs *= scalar
+        return self
 
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max()) if self.coeffs.size else 0.0
@@ -125,37 +132,34 @@ class PolyGaussSpinor:
         out[(slice(None),) * axis + (slice(1, None),)] = c
         return self._like(out)
 
-    def _poly_derivative(self, axis):
-        n = self.coeffs.shape[axis]
-        if n == 1:
-            return self._like(np.zeros_like(self.coeffs))
-        sl = [slice(None)] * 5
-        sl[axis] = slice(1, None)
-        shape = [1] * 5
-        shape[axis] = n - 1
-        powers = np.arange(1, n).reshape(shape)
-        return self._like(self.coeffs[tuple(sl)] * powers)
-
-    def _envelope_derivative(self, axis):
-        """d/du (axis 1) or d/dv (axis 2) in rescaled coordinates; the envelope brings down -u."""
-        return self._poly_derivative(axis) - self._shift(axis)
+    def _derivative(self, axis, shape):
+        """A fresh array with d f along ``axis`` in its leading slot; along u and v it is
+        zero-padded to cover ``shape`` as well."""
+        c, n, head = self.coeffs, self.coeffs.shape[axis], (slice(None),) * axis
+        low, high = head + (slice(n - 1),), head + (slice(1, None),)
+        powers = np.arange(1, n).reshape([n - 1 if a == axis else 1 for a in range(5)])
+        if axis in (3, 4):
+            out = c * ((1j * self.kz) if axis == 3 else (-1j * self.energy))
+            out[low] += c[high] * powers
+            return out
+        grown = c.shape[:axis] + (n + 1,) + c.shape[axis + 1:]
+        out = np.zeros(tuple(map(max, grown, shape)), dtype=complex)
+        slot = out[tuple(map(slice, grown))]
+        np.multiply(c[high], powers, out=slot[low])
+        slot[high] -= c
+        slot *= self.scale
+        return out
 
     # physical coordinates x^mu, mu = 0..3 = (t, x, y, z); x = u / scale, y = v / scale
 
     def mul(self, mu):
         """x^mu f."""
-        axis = _index(mu, _AXIS)
-        if axis in (1, 2):
-            return (1.0 / self.scale) * self._shift(axis)
-        return self._shift(axis)
+        out = self._shift(_index(mu, _AXIS))
+        return out._times(1.0 / self.scale) if mu in (1, 2) else out
 
     def d(self, mu):
-        """d f / dx^mu, envelope included: the plane wave brings down +ik (z) or -iE (t)."""
-        axis = _index(mu, _AXIS)
-        if axis in (1, 2):
-            return self.scale * self._envelope_derivative(axis)
-        phase = (1j * self.kz) if axis == 3 else (-1j * self.energy)
-        return self._poly_derivative(axis) + phase * self
+        """d f / dx^mu: the envelope brings down -u or -v, the plane wave +ik (z) or -iE (t)."""
+        return self._like(self._derivative(_index(mu, _AXIS), self.coeffs.shape))
 
     def apply_matrix(self, mat):
         # the same (4, 4) x (4, N) BLAS product np.tensordot forms, minus its Python overhead
@@ -169,8 +173,13 @@ def zero_like(f: PolyGaussSpinor) -> PolyGaussSpinor:
 
 
 def _sum(terms, f: PolyGaussSpinor) -> PolyGaussSpinor:
-    """Sum of ``terms`` in order, starting from the first; zero_like(f) if there are none."""
-    return sum(terms[1:], terms[0]) if terms else zero_like(f)
+    """The fresh ``terms`` added in order in one buffer of their union shape, or zero_like(f)."""
+    if len(terms) < 2:
+        return terms[0] if terms else zero_like(f)
+    out = _padded(terms[0].coeffs, tuple(map(max, *(t.coeffs.shape for t in terms))))
+    for term in terms[1:]:
+        _into(out, term.coeffs)
+    return f._like(out)
 
 
 def _padded(coeffs: np.ndarray, shape) -> np.ndarray:
@@ -180,12 +189,20 @@ def _padded(coeffs: np.ndarray, shape) -> np.ndarray:
     return out
 
 
+def _into(out: np.ndarray, coeffs: np.ndarray, op=np.add) -> np.ndarray:
+    """``op(out, coeffs)`` slot by slot in ``out``, just allocated (padded first if too small)."""
+    if any(m < n for m, n in zip(out.shape, coeffs.shape)):
+        out = _padded(out, tuple(map(max, out.shape, coeffs.shape)))
+    view = out[tuple(map(slice, coeffs.shape))]
+    op(view, coeffs, out=view)
+    return out
+
+
 def relative_residual(lhs: PolyGaussSpinor, rhs: PolyGaussSpinor, *refs) -> float:
     """Max coefficient of lhs - rhs over the largest participating scale."""
     scale = max([lhs.max_abs(), rhs.max_abs()] + [r.max_abs() for r in refs])
-    if scale == 0.0:
-        return (lhs - rhs).max_abs()
-    return (lhs - rhs).max_abs() / scale
+    diff = (lhs - rhs).max_abs()
+    return diff / scale if scale else diff
 
 
 # gauge potential and momenta
@@ -202,43 +219,54 @@ def _potential_action(mu: int, f: PolyGaussSpinor, field: FieldConfig) -> PolyGa
     weight = _index(mu, (1.0, 0.5, 0.5, 0.5))
     row = field.field_strength()[mu].tolist()
     # a term with a zero coefficient adds only zeros (and a wider box), so it is left out
-    return _sum([(-weight * row[nu]) * f.mul(nu) for nu in (1, 2, 3) if row[nu]], f)
+    return _sum([f.mul(nu)._times(-weight * row[nu]) for nu in (1, 2, 3) if row[nu]], f)
 
 
 def apply_gauge_momentum(mu: int, f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
-    """P_mu f = (i d_mu - e A_mu) f, lower index, charge e = -1."""
-    grad = 1j * f.d(mu)
-    return grad + (-ELECTRON_CHARGE) * _potential_action(mu, f, field)
+    """P_mu f = (i d_mu - e A_mu) f, lower index; with charge e = -1, -e A_mu f is A_mu f."""
+    potential = _potential_action(mu, f, field).coeffs
+    out = f._derivative(_index(mu, _AXIS), potential.shape)
+    return f._like(_into(np.multiply(out, 1j, out=out), potential))
 
 
 def _coordinate_lower(mu: int, f: PolyGaussSpinor) -> PolyGaussSpinor:
     """x_mu f with the index down: (t, -x, -y, -z)."""
-    return _index(mu, clifford.METRIC_SIGNS) * f.mul(mu)
+    out = f.mul(mu).coeffs
+    return f._like(out if _index(mu, clifford.METRIC_SIGNS) > 0 else np.negative(out, out=out))
 
 
 def _dirac_terms(f: PolyGaussSpinor, field: FieldConfig):
-    """The five terms gamma^mu P_mu f (mu = 0..3) and -m f, summed in this order."""
-    return ([apply_gauge_momentum(mu, f, field).apply_matrix(clifford.gamma(mu))
-             for mu in range(4)] + [(-f.mass) * f])
+    """The five terms gamma^mu P_mu f (mu = 0..3) and -m f, yielded in summation order."""
+    for mu in range(4):
+        yield apply_gauge_momentum(mu, f, field).apply_matrix(clifford.gamma(mu))
+    yield (-f.mass) * f
 
 
 def apply_dirac(f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
-    """(gamma^mu P_mu - m) f."""
-    return _sum(_dirac_terms(f, field), f)
+    """(gamma^mu P_mu - m) f, each term added to the running sum as it is built."""
+    total = None
+    for term in _dirac_terms(f, field):
+        total = term.coeffs if total is None else _into(total, term.coeffs)
+        del term  # held only until it is added: the next term is built without it
+    return f._like(total)
 
 
 def apply_canonical_jz(f: PolyGaussSpinor) -> PolyGaussSpinor:
-    """(-i d/dphi + Sigma_z/2) f; the angular derivative is scale-free."""
-    angular = f._envelope_derivative(2)._shift(1) - f._envelope_derivative(1)._shift(2)
-    return (-1j) * angular + f.apply_matrix(0.5 * clifford.SIGMA_Z)
+    """(-i d/dphi + Sigma_z/2) f; the angular derivative is scale-free, taken at scale 1."""
+    unit = PolyGaussSpinor(f.coeffs, f.energy, f.kz, f.mass)
+    angular = _into(unit.d(2)._shift(1).coeffs, unit.d(1)._shift(2).coeffs, np.subtract)
+    angular *= -1j
+    return f._like(_into(angular, f.apply_matrix(0.5 * clifford.SIGMA_Z).coeffs))
 
 
 def _generators(f: PolyGaussSpinor, field: FieldConfig, pairs):
     """{(mu, nu): J_{mu nu} f} for the index pairs ``pairs``, each P_mu f formed once."""
     pf = {mu: apply_gauge_momentum(mu, f, field)
           for mu in dict.fromkeys(i for pair in pairs for i in pair)}
-    return {(mu, nu): (_coordinate_lower(mu, pf[nu]) - _coordinate_lower(nu, pf[mu]))
-            + f.apply_matrix(0.5j * clifford.sigma_tensor(mu, nu)) for mu, nu in pairs}
+    return {(mu, nu): f._like(_into(_into(_coordinate_lower(mu, pf[nu]).coeffs,
+                                          _coordinate_lower(nu, pf[mu]).coeffs, np.subtract),
+                                    f.apply_matrix(0.5j * clifford.sigma_tensor(mu, nu)).coeffs))
+            for mu, nu in pairs}
 
 
 def apply_gauge_covariant_j(key, f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
@@ -314,8 +342,8 @@ def commutator_dirac_j_residuals(field: FieldConfig, f: PolyGaussSpinor,
             if fs[nu, lam]:
                 terms.append(fs[nu, lam] * xgf[mu, lam])
             if fs[mu, lam]:
-                terms.append(-1.0 * (fs[mu, lam] * xgf[nu, lam]))
-        rhs = (1j * ELECTRON_CHARGE) * _sum(terms, f)
+                terms.append((fs[mu, lam] * xgf[nu, lam])._times(-1.0))
+        rhs = _sum(terms, f)._times(1j * ELECTRON_CHARGE)
         out.append(relative_residual(lhs, rhs, f, jf[mu, nu], df))
     return out
 
@@ -345,20 +373,19 @@ def _scalar_poly2(l: int, oam_sign: int, p: int) -> np.ndarray:
     reused across beams, and a bounded cache keeps a sweep over many
     distinct states from holding every polynomial.
 
-    The radial block holds c_j binom(j, a) at (2a, 2(j-a)), with the Laguerre
-    coefficients c_j = (-1)^j binom(p+l, p-j)/j!.  Each vortex term
-    binom(l, a) (oam_sign i)^(l-a) u^a v^(l-a) adds a scaled copy of it, for
-    a = 0..l in ascending order; the rounded bits depend on that order.
+    The radial block holds c_j binom(j, k), the coefficient of u^(2k) v^(2(j-k)), at
+    (k, j-k), with c_j = (-1)^j binom(p+l, p-j)/j!.  Each vortex term binom(l, a)
+    (oam_sign i)^(l-a) u^a v^(l-a) adds a scaled copy on every second power from u^a v^(l-a),
+    for a = 0..l in ascending order (the rounded bits depend on it); other powers stay +0.
     """
     n = 2 * p + 1
-    radial = np.zeros((n, n), dtype=complex)
-    for j in range(p + 1):
-        c = (-1.0)**j * math.comb(p + l, p - j) / math.factorial(j)
-        for a in range(j + 1):
-            radial[2 * a, 2 * (j - a)] += c * math.comb(j, a)
+    c = [(-1.0)**j * math.comb(p + l, p - j) / math.factorial(j) for j in range(p + 1)]
+    j, a = np.tril_indices(p + 1)
+    radial = np.zeros((p + 1, p + 1), dtype=complex)
+    radial[a, j - a] = [c[i] * math.comb(i, k) for i, k in zip(j.tolist(), a.tolist())]
     out = np.zeros((l + n, l + n), dtype=complex)
     for a in range(l + 1):
-        out[a:a + n, l - a:l - a + n] += math.comb(l, a) * (oam_sign * 1j)**(l - a) * radial
+        out[a:a + n:2, l - a:l - a + n:2] += math.comb(l, a) * (oam_sign * 1j)**(l - a) * radial
     out.flags.writeable = False
     return out
 
@@ -415,10 +442,13 @@ def dirac_residual(qn: QuantumNumbers, bp: BeamParameters,
     so the number is meaningful across twelve orders of magnitude in beB.
     """
     f = state_to_polyspinor(qn, bp, energy_shift)
-    terms = _dirac_terms(f, landau_field(bp))
-    total = _sum(terms, f)
-    denom = max(t.max_abs() for t in terms)
-    return total.max_abs() / denom if denom else total.max_abs()
+    total, maxes = None, []
+    for term in _dirac_terms(f, landau_field(bp)):
+        maxes.append(term.max_abs())
+        total = term.coeffs if total is None else _into(total, term.coeffs)
+        del term  # held only until it is added: the next term is built without it
+    residual, denom = f._like(total).max_abs(), max(maxes)
+    return residual / denom if denom else residual
 
 
 def landau_eigen_residual(f: PolyGaussSpinor, bp: BeamParameters,
