@@ -52,6 +52,8 @@ _csv_float = "{:.17g}".format
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""  # a non-finite verify residual: null in JSON
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

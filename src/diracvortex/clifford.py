@@ -103,11 +103,12 @@ def check_sigma_commutator(mu: int, nu: int, rho: int, sig: int) -> float:
 
 
 def clifford_residual() -> float:
-    """Largest deviation from {gamma_mu, gamma_nu} = 2 eta_{mu nu} over all pairs."""
-    worst = 0.0
+    """Largest deviation from {gamma_mu, gamma_nu} = 2 eta_{mu nu} over all pairs,
+    NaN if any is NaN."""
+    deviations = []
     for mu in range(4):
         for nu in range(4):
             gm, gn = gamma_lower(mu), gamma_lower(nu)
             anti = gm @ gn + gn @ gm
-            worst = max(worst, float(np.max(np.abs(anti - 2.0 * METRIC[mu, nu] * IDENTITY4))))
-    return worst
+            deviations.append(np.abs(anti - 2.0 * METRIC[mu, nu] * IDENTITY4))
+    return float(np.max(deviations))

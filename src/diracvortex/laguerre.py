@@ -70,7 +70,8 @@ def check_recurrences(p: int, l: int, x: float) -> float:
 
     Checks  L_p^l = L_p^{l+1} - L_{p-1}^{l+1}  and
             x dL_p^l/dx = p L_p^l - (p+l) L_{p-1}^l,
-    each normalised by the largest participating term (floor 1).
+    each normalised by the largest participating term (floor 1); the larger
+    of the two, or NaN if either is NaN.
     """
     if p < 0 or l < 0:
         raise ValueError("p and l must be >= 0")
@@ -82,7 +83,7 @@ def check_recurrences(p: int, l: int, x: float) -> float:
     e = p * a
     f = (p + l) * eval_laguerre(p - 1, l, x)
     r2 = abs(d - (e - f)) / max(1.0, abs(d), abs(e), abs(f))
-    return max(r1, r2)
+    return float(np.max([r1, r2]))
 
 
 def _laguerre_pair(n: int, x):

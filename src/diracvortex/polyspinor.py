@@ -254,19 +254,21 @@ def apply_dirac(f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
 def apply_canonical_jz(f: PolyGaussSpinor) -> PolyGaussSpinor:
     """(-i d/dphi + Sigma_z/2) f; the angular derivative is scale-free, taken at scale 1."""
     unit = PolyGaussSpinor(f.coeffs, f.energy, f.kz, f.mass)
-    angular = _into(unit.d(2)._shift(1).coeffs, unit.d(1)._shift(2).coeffs, np.subtract)
+    angular = _into(unit.d(2).mul(1).coeffs, unit.d(1).mul(2).coeffs, np.subtract)
     angular *= -1j
     return f._like(_into(angular, f.apply_matrix(0.5 * clifford.SIGMA_Z).coeffs))
 
 
-def _generators(f: PolyGaussSpinor, field: FieldConfig, pairs):
-    """{(mu, nu): J_{mu nu} f} for the index pairs ``pairs``, each P_mu f formed once."""
+def _generators(f: PolyGaussSpinor, field: FieldConfig, keys):
+    """{key: J_key f} for axis names ("x", "y", "z") or index pairs (mu, nu), each P_mu f
+    formed once."""
+    pairs = {key: AXIS_PAIRS[key] if isinstance(key, str) else key for key in keys}
     pf = {mu: apply_gauge_momentum(mu, f, field)
-          for mu in dict.fromkeys(i for pair in pairs for i in pair)}
-    return {(mu, nu): f._like(_into(_into(_coordinate_lower(mu, pf[nu]).coeffs,
-                                          _coordinate_lower(nu, pf[mu]).coeffs, np.subtract),
-                                    f.apply_matrix(0.5j * clifford.sigma_tensor(mu, nu)).coeffs))
-            for mu, nu in pairs}
+          for mu in dict.fromkeys(i for pair in pairs.values() for i in pair)}
+    return {key: f._like(_into(_into(_coordinate_lower(mu, pf[nu]).coeffs,
+                                     _coordinate_lower(nu, pf[mu]).coeffs, np.subtract),
+                               f.apply_matrix(0.5j * clifford.sigma_tensor(mu, nu)).coeffs))
+            for key, (mu, nu) in pairs.items()}
 
 
 def apply_gauge_covariant_j(key, f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
@@ -277,14 +279,7 @@ def apply_gauge_covariant_j(key, f: PolyGaussSpinor, field: FieldConfig) -> Poly
     -i d/dphi + r^2 (rescaled) + Sigma_z/2, which matches the expectation
     values produced by the quadrature route.
     """
-    mu, nu = AXIS_PAIRS[key] if isinstance(key, str) else key
-    return _generators(f, field, ((mu, nu),))[mu, nu]
-
-
-def _spatial_j(f: PolyGaussSpinor, field: FieldConfig, keys):
-    """{key: J_key f} for the axis names ``keys``, sharing the momentum images of f."""
-    images = _generators(f, field, [AXIS_PAIRS[key] for key in keys])
-    return {key: images[AXIS_PAIRS[key]] for key in keys}
+    return _generators(f, field, (key,))[key]
 
 
 def commutator_jj_residual(j: str, k: str, field: FieldConfig,
@@ -299,11 +294,11 @@ def commutator_jj_residual(j: str, k: str, field: FieldConfig,
 
 def commutator_jj_residuals(field: FieldConfig, f: PolyGaussSpinor, pairs=_CYCLIC_PAIRS):
     """``commutator_jj_residual`` for each (j, k) of ``pairs``, each image of f formed once."""
-    jf = _spatial_j(f, field, "xyz")
+    jf = _generators(f, field, "xyz")
     jjf = {}
     for b in "xyz":
         outer = {a for pair in pairs if b in pair for a in pair if a != b}
-        jjf.update(((a, b), image) for a, image in _spatial_j(jf[b], field, outer).items())
+        jjf.update(((a, b), image) for a, image in _generators(jf[b], field, outer).items())
     bx, by, bz = field.B
     xdotb = bx * f.mul(1) + by * f.mul(2) + bz * f.mul(3)
     out = []

@@ -270,6 +270,24 @@ class TestVerifyCommand:
                         for check in json.loads(reports["json"])["checks"]]
         assert [row[0] for row in rows] == ["numpy", "exact", "breaks"]
 
+    @pytest.mark.parametrize("residual", [math.nan, math.inf])
+    def test_non_finite_residual_is_reported_and_fails(self, residual, monkeypatch, capsys):
+        # null in JSON, an empty CSV cell; the report is written and the exit code is 1
+        checks = [verify.Check("holds", 0.0, 1.0), verify.Check("broken", residual, 1e-12)]
+        monkeypatch.setattr(verify, "run_all", lambda sabotage: checks)
+        fail = f"FAIL broken: residual {residual:.3e} > tolerance 1.0e-12\n"
+        assert cli.main(["verify"]) == 1
+        out, err = capsys.readouterr()
+        assert err == fail
+        assert json.loads(out)["checks"] == [
+            {"name": "holds", "residual": 0.0, "tolerance": 1.0, "pass": True},
+            {"name": "broken", "residual": None, "tolerance": 1e-12, "pass": False}]
+        assert cli.main(["verify", "--format", "csv"]) == 1
+        out, err = capsys.readouterr()
+        assert err == fail
+        assert out.splitlines()[-3:] == ["name,residual,tolerance,pass", "holds,0,1,true",
+                                         "broken,,9.9999999999999998e-13,false"]
+
 
 class TestJsonWriter:
     def test_numpy_scalars_keep_their_type(self):

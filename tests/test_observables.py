@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from diracvortex import clifford, laguerre, observables as obs
+from diracvortex import clifford, laguerre, observables as obs, polyspinor as ps
 from diracvortex.laguerre import eval_laguerre
 from diracvortex.states import (FAMILIES, BeamParameters, QuantumNumbers, energy,
-                                evaluate_spinor, iter_states)
+                                evaluate_spinor, integrated_density, iter_states,
+                                normalization_constant)
 
 BP = BeamParameters(beB=0.37, m=1.0, k=0.8)
 SETTINGS = [BeamParameters(beB=1e-10, m=1.0, k=1.0),
@@ -453,6 +454,30 @@ class TestGordon:
             obs.gordon_residual(qn, BP, np.array([0.0, 0.1, 0.2, 0.3, 0.4]))
         with pytest.raises(ValueError):
             obs.gordon_residual(qn, BP, np.array([0.1, 0.2]))
+
+
+class TestMassOtherThanOne:
+    """The physics at m = 1.7: at m = 1 a factor m and a factor 1/m look alike."""
+
+    BEAM = BeamParameters(beB=0.37, m=1.7, k=0.8)
+
+    def test_closed_forms_quadrature_and_dirac_equation(self):
+        for qn in iter_states(4, 4):
+            pairs = obs.closed_and_quadrature(qn, self.BEAM)
+            for name, closed, quad in pairs:
+                assert abs(closed - quad) <= 1e-9 * max(1.0, abs(closed)), (qn, name)
+            density = integrated_density(qn, self.BEAM)
+            assert abs(obs.integrated_density_longform(qn, self.BEAM) - density) \
+                <= 1e-12 * density, qn
+            assert abs(normalization_constant(qn, self.BEAM)**2 * pairs[0][2] - 1.0) <= 1e-10
+            assert ps.dirac_residual(qn, self.BEAM) <= 1e-10, qn
+
+    def test_gordon_second_order_convergence(self):
+        for qn in (QuantumNumbers(1, 1, 2, 3), QuantumNumbers(-1, 1, 1, 1),
+                   QuantumNumbers(1, -1, 1, 2)):
+            coarse = obs.gordon_residual(qn, self.BEAM, np.linspace(0.05, 6.0, 200))
+            fine = obs.gordon_residual(qn, self.BEAM, np.linspace(0.05, 6.0, 400))
+            assert math.log2(coarse / fine) >= 1.9, qn
 
 
 HAND_WRITTEN_BEAMS = [BeamParameters(beB=0.37, m=1.0, k=0.8),
