@@ -7,7 +7,9 @@ magnetic eigenstates, s = 1 for generic test spinors).  Momenta, gauge
 potentials of constant fields, angular-momentum operators and constant
 matrices all map the class to itself, with polynomial coefficients
 transformed exactly.  Residuals of operator identities are therefore pure
-rounding noise, with no discretisation error to argue about.
+rounding noise, with no discretisation error to argue about.  Each component
+of a closed-form state also has a single winding, so ``dirac_residual`` works
+on a radial form of the state: one polynomial in u^2 + v^2 per component.
 
 Charge convention: the particle carries charge e = -1 (an electron with
 |e| = 1 in natural units) and couples through P_mu = i d_mu - e A_mu with
@@ -17,7 +19,6 @@ part.  Under this convention the four closed-form states solve
 """
 
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
@@ -235,20 +236,14 @@ def _coordinate_lower(mu: int, f: PolyGaussSpinor) -> PolyGaussSpinor:
     return f._like(out if _index(mu, clifford.METRIC_SIGNS) > 0 else np.negative(out, out=out))
 
 
-def _dirac_terms(f: PolyGaussSpinor, field: FieldConfig):
-    """The five terms gamma^mu P_mu f (mu = 0..3) and -m f, yielded in summation order."""
-    for mu in range(4):
-        yield apply_gauge_momentum(mu, f, field).apply_matrix(clifford.gamma(mu))
-    yield (-f.mass) * f
-
-
 def apply_dirac(f: PolyGaussSpinor, field: FieldConfig) -> PolyGaussSpinor:
     """(gamma^mu P_mu - m) f, each term added to the running sum as it is built."""
     total = None
-    for term in _dirac_terms(f, field):
-        total = term.coeffs if total is None else _into(total, term.coeffs)
+    for mu in range(4):
+        term = apply_gauge_momentum(mu, f, field).apply_matrix(clifford.gamma(mu)).coeffs
+        total = term if total is None else _into(total, term)
         del term  # held only until it is added: the next term is built without it
-    return f._like(total)
+    return f._like(_into(total, ((-f.mass) * f).coeffs))
 
 
 def apply_canonical_jz(f: PolyGaussSpinor) -> PolyGaussSpinor:
@@ -360,46 +355,64 @@ def dirac_j12_rhs_explicit(field: FieldConfig, f: PolyGaussSpinor) -> PolyGaussS
 
 # conversion of the closed-form states into the polynomial class
 
-@functools.lru_cache(maxsize=4)
-def _scalar_poly2(l: int, oam_sign: int, p: int) -> np.ndarray:
-    """2-D coefficients (in u, v) of the scalar mode (u + oam_sign i v)^l L_p^l(u^2+v^2).
+def _laguerre_coefficients(l: int, p: int) -> list:
+    """c_j = (-1)^j binom(p+l, p-j)/j!, j = 0..p: L_p^l(rho) in powers of rho."""
+    return [(-1.0)**j * math.comb(p + l, p - j) / math.factorial(j) for j in range(p + 1)]
 
-    Read-only and cached for the last few modes: a state's two modes are
-    reused across beams, and a bounded cache keeps a sweep over many
-    distinct states from holding every polynomial.
 
+def _scalar_poly2(winding: int, radial) -> np.ndarray:
+    """2-D coefficients (in u, v) of w^n q(u^2+v^2), or w-bar^|n| q when n < 0, w = u + iv.
+
+    ``radial`` holds q's coefficients c_j in powers of u^2 + v^2; the scalar mode
+    (u + oam_sign i v)^l L_p^l(u^2+v^2) has n = oam_sign l and ``_laguerre_coefficients``.
     The radial block holds c_j binom(j, k), the coefficient of u^(2k) v^(2(j-k)), at
-    (k, j-k), with c_j = (-1)^j binom(p+l, p-j)/j!.  Each vortex term binom(l, a)
-    (oam_sign i)^(l-a) u^a v^(l-a) adds a scaled copy on every second power from u^a v^(l-a),
-    for a = 0..l in ascending order (the rounded bits depend on it); other powers stay +0.
+    (k, j-k).  With l = |n|, each vortex term binom(l, a) (+-i)^(l-a) u^a v^(l-a) adds a
+    scaled copy on every second power from u^a v^(l-a), for a = 0..l in ascending order
+    (the rounded bits depend on it); other powers stay +0.
     """
+    l, oam_sign, p = abs(winding), (-1 if winding < 0 else 1), len(radial) - 1
     n = 2 * p + 1
-    c = [(-1.0)**j * math.comb(p + l, p - j) / math.factorial(j) for j in range(p + 1)]
     j, a = np.tril_indices(p + 1)
-    radial = np.zeros((p + 1, p + 1), dtype=complex)
-    radial[a, j - a] = [c[i] * math.comb(i, k) for i, k in zip(j.tolist(), a.tolist())]
+    block = np.zeros((p + 1, p + 1), dtype=complex)
+    block[a, j - a] = [radial[i] * math.comb(i, k) for i, k in zip(j.tolist(), a.tolist())]
     out = np.zeros((l + n, l + n), dtype=complex)
     for a in range(l + 1):
-        out[a:a + n:2, l - a:l - a + n:2] += math.comb(l, a) * (oam_sign * 1j)**(l - a) * radial
-    out.flags.writeable = False
+        out[a:a + n:2, l - a:l - a + n:2] += math.comb(l, a) * (oam_sign * 1j)**(l - a) * block
     return out
 
 
-def _columns_to_polyspinor(bp: BeamParameters, en: float, oam_sign: int,
-                           columns) -> PolyGaussSpinor:
-    """Sum over (column, l, p) of each {component: entry} times the mode's polynomial.
-
-    Requires beB > 0.  The box is sized by the non-empty columns.
-    """
+def _mode_scale(bp: BeamParameters) -> float:
+    """The coordinate scale of the closed-form states' polynomial forms, which need beB > 0."""
     if bp.beB <= 0.0:
         raise ValueError("polynomial conversion needs beB > 0")
-    modes = [(column, _scalar_poly2(l, oam_sign, p)) for column, l, p in columns if column]
-    n = max(poly.shape[0] for _, poly in modes)
+    return bp.coordinate_scale
+
+
+def _columns_to_polyspinor(bp: BeamParameters, en: float, modes) -> PolyGaussSpinor:
+    """Sum over (column, winding, radial) of each {component: entry} times the
+    ``_scalar_poly2`` of (winding, radial); no two modes share a component.
+
+    Requires beB > 0.  The box is sized by the modes.
+    """
+    scale = _mode_scale(bp)
+    polys = [(column, _scalar_poly2(winding, radial)) for column, winding, radial in modes]
+    n = max((poly.shape[0] for _, poly in polys), default=1)
     coeffs = np.zeros((4, n, n, 1, 1), dtype=complex)
-    for column, poly in modes:
+    for column, poly in polys:
         for c, entry in column.items():
             coeffs[c, :poly.shape[0], :poly.shape[1], 0, 0] = entry * poly
-    return PolyGaussSpinor(coeffs, en, bp.k, bp.m, bp.coordinate_scale)
+    return PolyGaussSpinor(coeffs, en, bp.k, bp.m, scale)
+
+
+def _state_modes(qn: QuantumNumbers, bp: BeamParameters, energy_shift: float):
+    """(E, modes): the energy plus ``energy_shift`` and the state's non-empty
+    ``spinor_columns``, each as (column, winding, Laguerre coefficients) of its scalar
+    mode, the state's own or the partner's of ``spin_orbit_mixing``."""
+    en = energy(qn, bp).total + energy_shift
+    main, mixing = spinor_columns(qn, bp, en)
+    _, l2, p2 = qn.spin_orbit_mixing
+    return en, [(column, qn.oam_sign * l, _laguerre_coefficients(l, p))
+                for column, l, p in ((main, qn.l, qn.p), (mixing, l2, p2)) if column]
 
 
 def state_to_polyspinor(qn: QuantumNumbers, bp: BeamParameters,
@@ -411,38 +424,106 @@ def state_to_polyspinor(qn: QuantumNumbers, bp: BeamParameters,
     and the bispinor entries, used as a sensitivity control: a shifted
     state must fail the Dirac equation loudly.
     """
-    en = energy(qn, bp).total + energy_shift
-    main, mixing = spinor_columns(qn, bp, en)
-    _, l2, p2 = qn.spin_orbit_mixing
-    return _columns_to_polyspinor(bp, en, qn.oam_sign,
-                                  ((main, qn.l, qn.p), (mixing, l2, p2)))
+    return _columns_to_polyspinor(bp, *_state_modes(qn, bp, energy_shift))
 
 
 def scalar_state_to_polyspinor(qn: QuantumNumbers, bp: BeamParameters,
                                component: int) -> PolyGaussSpinor:
     """Scalar vortex profile times one basis bispinor, in polynomial form."""
-    return _columns_to_polyspinor(bp, energy(qn, bp).total, qn.oam_sign,
-                                  (({component: 1.0}, qn.l, qn.p),))
+    mode = ({component: 1.0}, qn.oam_sign * qn.l, _laguerre_coefficients(qn.l, qn.p))
+    return _columns_to_polyspinor(bp, energy(qn, bp).total, [mode])
 
 
 def landau_field(bp: BeamParameters) -> FieldConfig:
     return FieldConfig(B=(0.0, 0.0, bp.beB))
 
 
+# the closed-form states on one winding per component
+
+def _radial_form(qn: QuantumNumbers, bp: BeamParameters, energy_shift: float = 0.0):
+    """(E, windings, q): component c of the state is q_c(rho) w^n_c, or q_c(rho)
+    w-bar^|n_c| when n_c < 0, over the envelope, with w = u + iv and rho = w w-bar.
+
+    Row c of q is the column entry times its mode's Laguerre coefficients
+    (``_state_modes``), in powers of rho, with one zero coefficient to spare for the
+    power of rho that P_+ adds.  ``windings`` has shape (4, 1), 0 on an empty component.
+    """
+    en, modes = _state_modes(qn, bp, energy_shift)
+    windings = np.zeros((4, 1))
+    q = np.zeros((4, max(len(radial) for _, _, radial in modes) + 1), dtype=complex)
+    for column, winding, radial in modes:
+        for c, entry in column.items():
+            windings[c] = winding
+            q[c, :len(radial)] = np.multiply(entry, radial)
+    return en, windings, q
+
+
+def _row_gather(mat: np.ndarray):
+    """(rows, phases) with mat @ v = phases * v[rows], for a matrix with at most one
+    nonzero entry per row (a zero row gathers row 0 with phase 0)."""
+    rows = np.abs(mat).argmax(axis=1)
+    return rows, mat[np.arange(4), rows][:, None]
+
+
+#: gamma^0, the partners (gamma^1 -+ i gamma^2)/2 of P_+- and gamma^3, as row gathers
+_RADIAL_GAMMAS = tuple(map(_row_gather, (
+    clifford.GAMMA0, 0.5 * (clifford.GAMMA1 - 1j * clifford.GAMMA2),
+    0.5 * (clifford.GAMMA1 + 1j * clifford.GAMMA2), clifford.GAMMA3)))
+
+
+def _ladder_terms(windings: np.ndarray, q: np.ndarray, scale: float):
+    """(1/2)(gamma^1 - i gamma^2) P_+ f, then (1/2)(gamma^1 + i gamma^2) P_- f, on a
+    radial form, each as (windings, q); their sum is gamma^1 P_1 f + gamma^2 P_2 f.
+
+    In the Landau field P_+- = P_1 +- i P_2 are i s (2 d/dw-bar - w) and
+    i s (2 d/dw + w-bar), s = ``scale``, and step the winding (q' = dq/drho):
+    P_+ (n, q) = (n + 1, 2is (q' - q)) for n >= 0, (n + 1, 2is (|n| q + rho q' - rho q))
+    for n < 0; P_- (n, q) = (n - 1, 2is (n q + rho q')) for n > 0, (n - 1, 2is q') for
+    n <= 0.
+    """
+    j = np.arange(q.shape[1])
+    dq, rho_q = np.zeros_like(q), np.zeros_like(q)
+    np.multiply(q[:, 1:], j[1:], out=dq[:, :-1])
+    rho_q[:, 1:] = q[:, :-1]
+    rho_dq = q * j
+    raised = np.where(windings >= 0, dq - q, np.abs(windings) * q + rho_dq - rho_q)
+    lowered = np.where(windings > 0, windings * q + rho_dq, dq)
+    for (rows, phases), image, step in ((_RADIAL_GAMMAS[1], raised, 1),
+                                        (_RADIAL_GAMMAS[2], lowered, -1)):
+        image *= 2j * scale
+        yield windings[rows] + step, phases * image[rows]
+
+
+def _ladder_polyspinor(qn: QuantumNumbers, bp: BeamParameters) -> PolyGaussSpinor:
+    """The two ladder terms of a closed-form state in Cartesian coefficients: the radial
+    statement of gamma^1 P_1 f + gamma^2 P_2 f.  The P_+ term fills components 1 and 3,
+    the P_- term 0 and 2."""
+    en, windings, q = _radial_form(qn, bp)
+    modes = [({c: 1.0}, int(n), image[c].tolist())
+             for term_windings, image in _ladder_terms(windings, q, _mode_scale(bp))
+             for c, n in enumerate(term_windings.ravel()) if image[c].any()]
+    return _columns_to_polyspinor(bp, en, modes)
+
+
 def dirac_residual(qn: QuantumNumbers, bp: BeamParameters,
                    energy_shift: float = 0.0) -> float:
-    """Relative coefficient residual of (Pslash - m) on a closed-form state.
+    """Relative residual of (Pslash - m) on a closed-form state, over radial coefficients.
 
-    The denominator is the largest coefficient among the five operator terms,
+    On the radial form (``_radial_form``) the five terms gamma^0 P_0 f (P_0 = E), the
+    P_+ and P_- terms of ``_ladder_terms``, gamma^3 P_3 f (P_3 = -k) and -m f are added
+    in this order.  The denominator is the largest coefficient among the five terms,
     so the number is meaningful across twelve orders of magnitude in beB.
     """
-    f = state_to_polyspinor(qn, bp, energy_shift)
-    total, maxes = None, []
-    for term in _dirac_terms(f, landau_field(bp)):
-        maxes.append(term.max_abs())
-        total = term.coeffs if total is None else _into(total, term.coeffs)
-        del term  # held only until it is added: the next term is built without it
-    residual, denom = f._like(total).max_abs(), max(maxes)
+    scale = _mode_scale(bp)
+    en, windings, q = _radial_form(qn, bp, energy_shift)
+    (rows0, phases0), _, _, (rows3, phases3) = _RADIAL_GAMMAS
+    terms = [phases0 * (en * q)[rows0]]
+    terms += [image for _, image in _ladder_terms(windings, q, scale)]
+    terms += [phases3 * (-bp.k * q)[rows3], -bp.m * q]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    residual, denom = float(np.abs(total).max()), max(float(np.abs(t).max()) for t in terms)
     return residual / denom if denom else residual
 
 

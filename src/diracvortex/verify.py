@@ -98,10 +98,19 @@ def laguerre_checks():
 
 def dirac_sweep_check(sabotage=None):
     shift = 0.1 if sabotage == "energy" else 0.0
-    # beams inside, so that each state's two mode polynomials are built once
     worst = _worst(ps.dirac_residual(qn, bp, energy_shift=shift)
                    for qn in iter_states(8, 8) for bp in PARAMETER_SETS)
-    return [Check("dirac_equation_sweep", worst, 1e-10)]
+    # the sweep's radial ladder terms against gamma^1 P_1 + gamma^2 P_2 on the Cartesian class
+    ties = []
+    for bp in (BEAM, PARAMETER_SETS[-1]):
+        field = ps.landau_field(bp)
+        for qn in iter_states(3, 3):
+            f = ps.state_to_polyspinor(qn, bp)
+            g1p1, g2p2 = (ps.apply_gauge_momentum(j, f, field).apply_matrix(clifford.gamma(j))
+                          for j in (1, 2))
+            ties.append(ps.relative_residual(ps._ladder_polyspinor(qn, bp), g1p1 + g2p2, f))
+    return [Check("dirac_equation_sweep", worst, 1e-10),
+            Check("dirac_ladder_matches_cartesian", _worst(ties), 1e-12)]
 
 
 def eigenvalue_checks():

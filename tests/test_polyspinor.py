@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracvortex import clifford, observables as obs, polyspinor as ps
-from diracvortex.states import (BeamParameters, QuantumNumbers, energy, evaluate_spinor,
-                                iter_states)
+from diracvortex.states import (FAMILIES, BeamParameters, QuantumNumbers, energy,
+                                evaluate_spinor, iter_states)
 from polyspinor_helpers import degrees, is_scalar_multiple, trimmed
 
 BP = BeamParameters(beB=0.37, m=1.0, k=0.8)
@@ -230,6 +230,20 @@ class TestDiracResidual:
         qn = QuantumNumbers(1, 1, 2, 3)
         assert ps.dirac_residual(qn, BP, energy_shift=0.1) > 1e-3
 
+    def test_high_quantum_numbers(self):
+        # p + 2 radial coefficients per component: (20, 150) would be a 322^2 box per
+        # component in Cartesian form.  A fixed shift of 0.1 is only ~2e-4 of E at
+        # beB = 1e3, so the control shifts E by a tenth of itself.
+        beams = [BeamParameters(beB=beb, m=1.0, k=k) for beb, k in ((0.37, 0.8), (1e-3, 3.0),
+                                                                   (1e3, 10.0))]
+        for bp in beams:  # a RuntimeWarning fails the test (pyproject's filterwarnings)
+            for l, p in ((50, 50), (100, 60), (60, 100), (120, 50), (20, 150)):
+                for family in FAMILIES:
+                    qn = QuantumNumbers(*family, l, p)
+                    assert ps.dirac_residual(qn, bp) <= 1e-15, (qn, bp)
+                    shift = 0.1 * energy(qn, bp).total
+                    assert ps.dirac_residual(qn, bp, energy_shift=shift) >= 1e-3, (qn, bp)
+
     def test_spin_orbit_term_is_required(self):
         # dropping the mixing column (component 3 for spin up, 2 for spin
         # down) breaks the equation except for the protected ground family,
@@ -310,7 +324,7 @@ class TestScalarPolynomial:
         # value is nonzero; terms that cancel exactly leave only rounding
         cases = [(l, p) for l in range(11) for p in range(9)] + [(31, 24)]
         for l, p in cases:
-            poly = ps._scalar_poly2(l, oam_sign, p)
+            poly = ps._scalar_poly2(oam_sign * l, ps._laguerre_coefficients(l, p))
             assert poly.shape == (l + 2 * p + 1,) * 2
             exact = exact_scalar_poly2(l, oam_sign, p)
             denom = math.factorial(p)
@@ -497,14 +511,16 @@ class TestSharedImages:
             upper = [r for (mu, nu), r in zip(self.DJ_PAIRS, batched) if mu < nu]
             assert ps.commutator_dirac_j_residuals(fld, f) == upper
 
-    def test_cached_mode_polynomial_is_read_only_and_fresh(self):
-        assert ps._scalar_poly2.cache_info().maxsize == 4
+    def test_mode_polynomial_is_fresh(self):
+        # no mode is kept between calls: each call builds its own array
         for l, oam_sign, p in ((3, 1, 2), (3, -1, 2), (0, 1, 4), (3, 1, 2), (7, -1, 0)):
-            poly = ps._scalar_poly2(l, oam_sign, p)
-            with pytest.raises(ValueError, match="read-only"):
-                poly[0, 0] = 1.0
-            fresh = ps._scalar_poly2.__wrapped__(l, oam_sign, p)
-            assert fresh.tobytes() == poly.tobytes()
+            radial = ps._laguerre_coefficients(l, p)
+            poly = ps._scalar_poly2(oam_sign * l, radial)
+            expect = poly.tobytes()
+            again = ps._scalar_poly2(oam_sign * l, radial)
+            assert not np.shares_memory(poly, again)
+            poly[0, 0] += 1.0
+            assert again.tobytes() == ps._scalar_poly2(oam_sign * l, radial).tobytes() == expect
 
     def test_closed_and_quadrature_is_the_separate_companions(self):
         for bp in (BP, BeamParameters(beB=2.5, m=1.0, k=0.3)):

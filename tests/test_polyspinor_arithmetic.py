@@ -182,16 +182,17 @@ class TestLeanArithmeticOracle:
             for qn in landau_states():
                 assert_operators_match(ps.state_to_polyspinor(qn, bp), ps.landau_field(bp))
 
-    def test_dirac_residual_bits(self):
+    def test_dirac_residual_routes(self):
+        # the residual is taken over radial coefficients, the oracle folds the Cartesian
+        # terms: both are rounding noise on the states and both fail a shifted energy
+        # (on BP: at beB = 2, k = 0 the Cartesian fold reads 9.5e-4 at (1, -1, 31, 0))
+        for bp in (BP, BeamParameters(beB=2.0, m=1.0, k=0.0)):
+            for qn in landau_states():
+                assert ps.dirac_residual(qn, bp) <= 1e-15, (qn, bp)
+                assert oracle_dirac_residual(qn, bp, 0.0) <= 1e-15, (qn, bp)
         for qn in landau_states():
-            for shift in (0.0, 0.1):
-                assert ps.dirac_residual(qn, BP, energy_shift=shift).hex() \
-                    == oracle_dirac_residual(qn, BP, shift).hex(), (qn, shift)
-
-
-def _cached_modes(qn):
-    _, l2, p2 = qn.spin_orbit_mixing
-    return [ps._scalar_poly2(l, qn.oam_sign, p) for l, p in ((qn.l, qn.p), (l2, p2)) if p >= 0]
+            assert ps.dirac_residual(qn, BP, energy_shift=0.1) > 1e-3, qn
+            assert oracle_dirac_residual(qn, BP, 0.1) > 1e-3, qn
 
 
 class TestNoAliasing:
@@ -236,19 +237,14 @@ class TestNoAliasing:
                                 ("Dirac J", lambda: ps.commutator_dirac_j_residuals(field, f))):
                 self.check(label, call, [f.coeffs], result=lambda out: [])
 
-    def test_landau_states_and_the_mode_cache(self):
+    def test_landau_states(self):
         field = ps.landau_field(BP)
         for qn in (QuantumNumbers(1, 1, 15, 12), QuantumNumbers(-1, 1, 3, 2)):
             f = ps.state_to_polyspinor(qn, BP)
-            modes = _cached_modes(qn)
-            for mode in modes:
-                assert not np.shares_memory(f.coeffs, mode)
             for label, call in self.operators(f, f, field):
-                self.check(label, call, [f.coeffs] + modes)
-            self.check("dirac_residual", lambda: ps.dirac_residual(qn, BP), modes,
+                self.check(label, call, [f.coeffs])
+            self.check("eigen", lambda: ps.landau_eigen_residual(f, BP, 1.0), [f.coeffs],
                        result=lambda out: [])
-            self.check("eigen", lambda: ps.landau_eigen_residual(f, BP, 1.0),
-                       [f.coeffs] + modes, result=lambda out: [])
 
 
 def _scalar_poly2_double_loop(l, oam_sign, p):
@@ -270,8 +266,9 @@ class TestCachedInputs:
         for l in range(41):
             for p in range(31):
                 for oam_sign in (1, -1):
-                    assert ps._scalar_poly2.__wrapped__(l, oam_sign, p).tobytes() \
-                        == _scalar_poly2_double_loop(l, oam_sign, p).tobytes(), (l, oam_sign, p)
+                    poly = ps._scalar_poly2(oam_sign * l, ps._laguerre_coefficients(l, p))
+                    assert poly.tobytes() == _scalar_poly2_double_loop(l, oam_sign, p).tobytes(), \
+                        (l, oam_sign, p)
 
     def test_field_tensor_is_formed_once_per_instance(self):
         plus, minus = ps.FieldConfig(B=(0.0, 0.0, 1.0)), ps.FieldConfig(B=(-0.0, 0.0, 1.0))
