@@ -34,7 +34,11 @@ METRIC = np.diag(METRIC_SIGNS)
 
 IDENTITY4 = np.eye(4, dtype=complex)
 
-for _m in (*GAMMAS, SIGMA_X, SIGMA_Y, SIGMA_Z, METRIC, IDENTITY4):
+# Projectors (1 +- Sigma_z)/2 onto spin up and spin down along z.
+SPIN_UP = (IDENTITY4 + SIGMA_Z) / 2
+SPIN_DOWN = (IDENTITY4 - SIGMA_Z) / 2
+
+for _m in (*GAMMAS, SIGMA_X, SIGMA_Y, SIGMA_Z, METRIC, IDENTITY4, SPIN_UP, SPIN_DOWN):
     _m.flags.writeable = False
 
 

@@ -14,6 +14,9 @@ SPEED_OF_LIGHT_M_S = 299792458.0    # c, m/s (exact)
 
 KEV_TO_J = 1e3 * ELEMENTARY_CHARGE_C
 
+#: the particle's charge in units of |e|: an electron, e = -1
+ELECTRON_CHARGE = -1.0
+
 
 def beb_over_m2(b_tesla: float, m_kev: float) -> float:
     """Magnetic coupling B|e| in units of the squared mass energy.

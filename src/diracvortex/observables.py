@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from . import clifford
+from .constants import ELECTRON_CHARGE
 from .laguerre import eval_laguerre, factorial_ratio, gauss_laguerre_nodes, positive_roots
 from .states import (BeamParameters, QuantumNumbers, energy, evaluate_spinor,
                      integrated_density, normalization_constant)
@@ -192,7 +193,8 @@ def magnetic_moment(qn: QuantumNumbers, bp: BeamParameters) -> float:
     if bp.beB <= 0.0:
         raise ValueError("magnetic moment requires beB > 0")
     dec = energy(qn, bp)
-    return -(integrated_density(qn, bp) / dec.total) * dec.interaction_sq / (2.0 * bp.beB)
+    return (ELECTRON_CHARGE * (integrated_density(qn, bp) / dec.total) * dec.interaction_sq
+            / (2.0 * bp.beB))
 
 
 def magnetic_moment_from_angular(qn: QuantumNumbers, bp: BeamParameters) -> float:
@@ -205,7 +207,7 @@ def magnetic_moment_from_angular(qn: QuantumNumbers, bp: BeamParameters) -> floa
     if bp.beB <= 0.0:
         raise ValueError("magnetic moment requires beB > 0")
     gyro = 2 * qn.interaction_index
-    return -integrated_density(qn, bp) / (2.0 * energy(qn, bp).total) * gyro
+    return ELECTRON_CHARGE * integrated_density(qn, bp) / (2.0 * energy(qn, bp).total) * gyro
 
 
 def sign_change_radii(qn: QuantumNumbers):
@@ -261,8 +263,8 @@ def gordon_residual(qn: QuantumNumbers, bp: BeamParameters, r_grid) -> float:
     g0 = clifford.GAMMA0
     jz = _bilinear(psi, g0 @ clifford.GAMMA3)
     orbital = bp.k / m * _bilinear(psi, g0)
-    # PsiBar Sigma_phi Psi at phi = 0 is the Sigma_y bilinear
-    mag_phi = _bilinear(psi, g0 @ clifford.SIGMA_Y) / (2.0 * m)
+    # PsiBar Sigma_phi Psi, the spinor sampled at phi = 0
+    mag_phi = _bilinear(psi, g0 @ clifford.sigma_cylindrical(0.0)[1]) / (2.0 * m)
     a = r * mag_phi
     da = (a[2:] - a[:-2]) / (r[2:] - r[:-2])
     curl = bp.coordinate_scale * da / r[1:-1]
@@ -340,16 +342,14 @@ def magnetic_moment_quadrature(qn, bp) -> float:
     jphi = _bilinear(psi, clifford.GAMMA0 @ clifford.gamma_cylindrical(0.0)[1])
     # r_phys = sqrt(2/beB) sqrt(x): the sqrt(x) joins the weights
     integral = 0.5 * _weighted_sum(weights * np.sqrt(nodes), nodes, jphi)
-    return -math.pi * math.sqrt(2.0 / bp.beB) * integral
+    return ELECTRON_CHARGE * math.pi * math.sqrt(2.0 / bp.beB) * integral
 
 
 def reduced_spin_quadrature(qn, bp) -> ReducedSpinState:
     """Diagonal of the reduced spin state from quadrature of the projectors (1 +- Sigma_z)/2."""
     nodes, weights, psi = _node_samples(qn, bp)
-    up = _bilinear(psi, (clifford.IDENTITY4 + clifford.SIGMA_Z) / 2)
-    down = _bilinear(psi, (clifford.IDENTITY4 - clifford.SIGMA_Z) / 2)
-    total_up = _weighted_sum(weights, nodes, up)
-    total_down = _weighted_sum(weights, nodes, down)
+    total_up = _weighted_sum(weights, nodes, _bilinear(psi, clifford.SPIN_UP))
+    total_down = _weighted_sum(weights, nodes, _bilinear(psi, clifford.SPIN_DOWN))
     norm = total_up + total_down
     return ReducedSpinState(prob_up=total_up / norm, prob_down=total_down / norm)
 

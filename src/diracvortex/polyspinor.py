@@ -24,9 +24,8 @@ import math
 import numpy as np
 
 from . import clifford
+from .constants import ELECTRON_CHARGE
 from .states import BeamParameters, QuantumNumbers, energy, spinor_columns
-
-ELECTRON_CHARGE = -1.0
 
 #: coefficient axis of x^mu for mu = 0..3 = (t, x, y, z)
 _AXIS = (4, 1, 2, 3)
@@ -458,17 +457,9 @@ def _radial_form(qn: QuantumNumbers, bp: BeamParameters, energy_shift: float = 0
     return en, windings, q
 
 
-def _row_gather(mat: np.ndarray):
-    """(rows, phases) with mat @ v = phases * v[rows], for a matrix with at most one
-    nonzero entry per row (a zero row gathers row 0 with phase 0)."""
-    rows = np.abs(mat).argmax(axis=1)
-    return rows, mat[np.arange(4), rows][:, None]
-
-
-#: gamma^0, the partners (gamma^1 -+ i gamma^2)/2 of P_+- and gamma^3, as row gathers
-_RADIAL_GAMMAS = tuple(map(_row_gather, (
-    clifford.GAMMA0, 0.5 * (clifford.GAMMA1 - 1j * clifford.GAMMA2),
-    0.5 * (clifford.GAMMA1 + 1j * clifford.GAMMA2), clifford.GAMMA3)))
+#: the partners (gamma^1 -+ i gamma^2)/2 of P_+- with the winding steps P_+- add
+_LADDER = ((0.5 * (clifford.GAMMA1 - 1j * clifford.GAMMA2), 1),
+           (0.5 * (clifford.GAMMA1 + 1j * clifford.GAMMA2), -1))
 
 
 def _ladder_terms(windings: np.ndarray, q: np.ndarray, scale: float):
@@ -479,7 +470,7 @@ def _ladder_terms(windings: np.ndarray, q: np.ndarray, scale: float):
     i s (2 d/dw + w-bar), s = ``scale``, and step the winding (q' = dq/drho):
     P_+ (n, q) = (n + 1, 2is (q' - q)) for n >= 0, (n + 1, 2is (|n| q + rho q' - rho q))
     for n < 0; P_- (n, q) = (n - 1, 2is (n q + rho q')) for n > 0, (n - 1, 2is q') for
-    n <= 0.
+    n <= 0.  A nonzero row of each matrix holds one entry, of modulus 1: |mat| moves windings.
     """
     j = np.arange(q.shape[1])
     dq, rho_q = np.zeros_like(q), np.zeros_like(q)
@@ -488,13 +479,12 @@ def _ladder_terms(windings: np.ndarray, q: np.ndarray, scale: float):
     rho_dq = q * j
     raised = np.where(windings >= 0, dq - q, np.abs(windings) * q + rho_dq - rho_q)
     lowered = np.where(windings > 0, windings * q + rho_dq, dq)
-    for (rows, phases), image, step in ((_RADIAL_GAMMAS[1], raised, 1),
-                                        (_RADIAL_GAMMAS[2], lowered, -1)):
+    for (mat, step), image in zip(_LADDER, (raised, lowered)):
         image *= 2j * scale
-        yield windings[rows] + step, phases * image[rows]
+        yield np.abs(mat) @ windings + step, mat @ image
 
 
-def _ladder_polyspinor(qn: QuantumNumbers, bp: BeamParameters) -> PolyGaussSpinor:
+def ladder_polyspinor(qn: QuantumNumbers, bp: BeamParameters) -> PolyGaussSpinor:
     """The two ladder terms of a closed-form state in Cartesian coefficients: the radial
     statement of gamma^1 P_1 f + gamma^2 P_2 f.  The P_+ term fills components 1 and 3,
     the P_- term 0 and 2."""
@@ -516,10 +506,9 @@ def dirac_residual(qn: QuantumNumbers, bp: BeamParameters,
     """
     scale = _mode_scale(bp)
     en, windings, q = _radial_form(qn, bp, energy_shift)
-    (rows0, phases0), _, _, (rows3, phases3) = _RADIAL_GAMMAS
-    terms = [phases0 * (en * q)[rows0]]
+    terms = [clifford.GAMMA0 @ (en * q)]
     terms += [image for _, image in _ladder_terms(windings, q, scale)]
-    terms += [phases3 * (-bp.k * q)[rows3], -bp.m * q]
+    terms += [clifford.GAMMA3 @ (-bp.k * q), -bp.m * q]
     total = terms[0]
     for term in terms[1:]:
         total = total + term

@@ -144,7 +144,7 @@ def energy(qn: QuantumNumbers, bp: BeamParameters) -> EnergyDecomposition:
     sqrt(m^2 + k^2), reached exactly by the p = 0 ground family where the
     Zeeman shift cancels the lowest Landau level.
     """
-    landau_sq = bp.beB * (2 * qn.p + qn.l * (1 + qn.oam_sign) + 1)
+    landau_sq = bp.beB * (2 * qn.interaction_index - qn.spin_sign)
     zeeman_sq = float(qn.spin_sign) * bp.beB
     total = math.sqrt(bp.m**2 + bp.k**2 + landau_sq + zeeman_sq)
     return EnergyDecomposition(landau_sq, zeeman_sq, total)

@@ -108,7 +108,7 @@ def dirac_sweep_check(sabotage=None):
             f = ps.state_to_polyspinor(qn, bp)
             g1p1, g2p2 = (ps.apply_gauge_momentum(j, f, field).apply_matrix(clifford.gamma(j))
                           for j in (1, 2))
-            ties.append(ps.relative_residual(ps._ladder_polyspinor(qn, bp), g1p1 + g2p2, f))
+            ties.append(ps.relative_residual(ps.ladder_polyspinor(qn, bp), g1p1 + g2p2, f))
     return [Check("dirac_equation_sweep", worst, 1e-10),
             Check("dirac_ladder_matches_cartesian", _worst(ties), 1e-12)]
 
@@ -232,7 +232,8 @@ def ground_protection_checks():
     for bp in PARAMETER_SETS:
         for l in range(0, 5):
             qn = QuantumNumbers(-1, -1, l, 0)
-            amplitudes.append(np.max(np.abs(evaluate_spinor(qn, bp, (r, 0.3, 0.1, -0.2))[:, 2])))
+            psi = evaluate_spinor(qn, bp, (r, 0.3, 0.1, -0.2))
+            amplitudes.append(np.max(np.abs(psi @ clifford.SPIN_UP)))  # its spin-up content
             exact += [abs(obs.reduced_spin_state(qn, bp).purity - 1.0),
                       abs(obs.magnetic_moment(qn, bp)),
                       abs(obs.gauge_covariant_jz(qn, bp) - (2 * qn.p + 0.5))]

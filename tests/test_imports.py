@@ -1,6 +1,6 @@
 """Every import in the package modules and the tests is used, every function
 and module-level UPPER_CASE constant the package defines is named somewhere
-else, the package runs without
+else, no package module reads another's private name, the package runs without
 scipy, which only the tests use, and only ``verify`` loads the verify suite,
 the polyspinor engine and ``numpy.random``."""
 
@@ -87,6 +87,56 @@ def test_no_dead_helpers():
     others = [p.read_text() for folder in ("tests", "perfbench")
               for p in sorted((ROOT / folder).glob("*.py"))]
     assert dead_helpers(package, package + others) == []
+
+
+PACKAGE_MODULES = frozenset(p.stem for p in (ROOT / "src" / "diracvortex").glob("*.py"))
+
+
+def private_reads(source: str):
+    """``alias._name`` for each alias bound to one of the ``PACKAGE_MODULES``, and each
+    ``_name`` imported from one of them, in source order: a private name read outside
+    its module.  Dunder names are public."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    tree, aliases, found = ast.parse(source), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "diracvortex"):
+            package = node.module in (None, "diracvortex")
+            for alias in node.names:
+                if package and alias.name in PACKAGE_MODULES:
+                    aliases.add(alias.asname or alias.name)
+                elif private(alias.name):
+                    found.append((node.lineno, node.col_offset, f"from {'.' * node.level}"
+                                  f"{node.module or ''} import {alias.name}"))
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names if alias.asname
+                           and alias.name.removeprefix("diracvortex.") in PACKAGE_MODULES)
+    found += [(node.lineno, node.col_offset, ast.get_source_segment(source, node))
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and private(node.attr)]
+    return [text for *_, text in sorted(found)]
+
+
+def test_detects_a_private_read():
+    snippet = "from . import clifford, polyspinor as ps\nfrom . import __version__\n" \
+              "from .states import _SPIN_ORBIT_MIXING, energy\n" \
+              "from diracvortex.laguerre import _bisected_roots\n" \
+              "import diracvortex.observables as obs\n" \
+              "a = ps._ladder_polyspinor(qn, bp)\nb = ps.dirac_residual(qn, bp)\n" \
+              "c = clifford.GAMMA0\nd = obs._sampled\ne = ps.__name__\nf = np._private\n"
+    assert private_reads(snippet) == ["from .states import _SPIN_ORBIT_MIXING",
+                                      "from diracvortex.laguerre import _bisected_roots",
+                                      "ps._ladder_polyspinor", "obs._sampled"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "diracvortex").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_reads_no_private_name_of_another_module(path):
+    # a module's own private names stay free: it reads them unqualified
+    assert private_reads(path.read_text()) == []
 
 
 def component_subscripts(source: str):

@@ -360,6 +360,22 @@ class TestMagneticMoment:
         with pytest.raises(ValueError):
             obs.magnetic_moment(QuantumNumbers(1, 1, 1, 1), bp)
 
+    def test_charge_sign_keeps_the_bits(self):
+        # each moment written out with a literal minus for the electron's charge
+        for bp in SETTINGS + [BP]:
+            for qn in sample_states(4, 4):
+                dec, density = energy(qn, bp), integrated_density(qn, bp)
+                nodes, weights, psi = obs._node_samples(qn, bp, 2)
+                jphi = obs._bilinear(psi, clifford.GAMMA0 @ clifford.gamma_cylindrical(0.0)[1])
+                integral = 0.5 * obs._weighted_sum(weights * np.sqrt(nodes), nodes, jphi)
+                written = (-(density / dec.total) * dec.interaction_sq / (2.0 * bp.beB),
+                           -density / (2.0 * dec.total) * (2 * qn.interaction_index),
+                           -math.pi * math.sqrt(2.0 / bp.beB) * integral)
+                moments = (obs.magnetic_moment(qn, bp), obs.magnetic_moment_from_angular(qn, bp),
+                           obs.magnetic_moment_quadrature(qn, bp))
+                assert moments == written, (qn, bp)
+                assert [m.hex() for m in moments] == [w.hex() for w in written], (qn, bp)
+
 
 class TestCounterflow:
     def test_no_rings_without_radial_nodes(self):

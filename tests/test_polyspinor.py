@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracvortex import clifford, observables as obs, polyspinor as ps
+from diracvortex import clifford, constants, observables as obs, polyspinor as ps
 from diracvortex.states import (FAMILIES, BeamParameters, QuantumNumbers, energy,
                                 evaluate_spinor, iter_states)
 from polyspinor_helpers import degrees, is_scalar_multiple, trimmed
@@ -462,7 +462,7 @@ def _jj_recomputed(j, k, fld, f):
     lhs = J(j, jk, fld) - J(k, kj, fld)
     bx, by, bz = fld.B
     xdotb = bx * f.mul(1) + by * f.mul(2) + bz * f.mul(3)
-    rhs = (1j * eps) * (J(axis, f, fld) + ps.ELECTRON_CHARGE * xdotb.mul("txyz".index(axis)))
+    rhs = (1j * eps) * (J(axis, f, fld) + constants.ELECTRON_CHARGE * xdotb.mul("txyz".index(axis)))
     return ps.relative_residual(lhs, rhs, f, jk, kj)
 
 
@@ -479,7 +479,7 @@ def _dirac_j_recomputed(mu, nu, fld, f):
             terms.append(fs[nu, lam] * ps._coordinate_lower(mu, gf))
         if fs[mu, lam]:
             terms.append(-1.0 * (fs[mu, lam] * ps._coordinate_lower(nu, gf)))
-    rhs = (1j * ps.ELECTRON_CHARGE) * (sum(terms[1:], terms[0]) if terms else ps.zero_like(f))
+    rhs = (1j * constants.ELECTRON_CHARGE) * (sum(terms[1:], terms[0]) if terms else ps.zero_like(f))
     return ps.relative_residual(lhs, rhs, f, jf, df)
 
 
@@ -547,7 +547,7 @@ def _j12_rhs_written_out(field, f):
                       + f.apply_matrix(g[3]).mul(3))
     out = out + bx * f.apply_matrix(g[3]).mul(1) + by * f.apply_matrix(g[3]).mul(2) \
         + bz * f.apply_matrix(g[3]).mul(3)
-    return (1j * ps.ELECTRON_CHARGE) * out
+    return (1j * constants.ELECTRON_CHARGE) * out
 
 
 class TestStatedOnce:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from diracvortex import clifford, polyspinor as ps
+from diracvortex import clifford, constants, polyspinor as ps
 from diracvortex.states import FAMILIES, BeamParameters, QuantumNumbers
 
 BP = BeamParameters(beB=0.37, m=1.0, k=0.8)
@@ -96,7 +96,7 @@ class Oracle:
         return self.sum([self.mul(c, nu) * (-weight * row[nu]) for nu in (1, 2, 3) if row[nu]])
 
     def gauge_momentum(self, c, mu, field):
-        return _add(self.d(c, mu) * 1j, self.potential(c, mu, field) * (-ps.ELECTRON_CHARGE))
+        return _add(self.d(c, mu) * 1j, self.potential(c, mu, field) * (-constants.ELECTRON_CHARGE))
 
     def coordinate_lower(self, c, mu):
         return self.mul(c, mu) * clifford.METRIC_SIGNS[mu]
@@ -166,6 +166,46 @@ def landau_states():
                 yield QuantumNumbers(spin, oam, max(l, 0 if spin == oam else 1), p)
 
 
+#: (rows, phases) with M v = phases * v[rows], written out from the standard representation
+#: for gamma^0, (gamma^1 - i gamma^2)/2, (gamma^1 + i gamma^2)/2 and gamma^3; a zero row of
+#: M gathers row 0 with phase 0
+ROW_GATHERS = (((0, 1, 2, 3), (1, 1, -1, -1)), ((0, 2, 0, 0), (0, 1, 0, -1)),
+               ((3, 0, 1, 0), (1, 0, -1, 0)), ((2, 3, 0, 1), (1, -1, -1, 1)))
+
+
+def gather(which, v):
+    rows, phases = ROW_GATHERS[which]
+    return np.array(phases, dtype=complex)[:, None] * v[list(rows)]
+
+
+def gathered_ladder_terms(windings, q, scale):
+    """The P_+ and P_- images of a radial form as (windings, q), each Dirac matrix a row
+    gather, and their rules written out: q' = dq/drho, and per winding n
+    P_+ q = 2is (q' - q) for n >= 0, 2is (|n| q + rho q' - rho q) for n < 0;
+    P_- q = 2is (n q + rho q') for n > 0, 2is q' for n <= 0."""
+    j = np.arange(q.shape[1])
+    dq, rho_q = np.zeros_like(q), np.zeros_like(q)
+    dq[:, :-1] = q[:, 1:] * j[1:]
+    rho_q[:, 1:] = q[:, :-1]
+    raised = np.where(windings >= 0, dq - q, np.abs(windings) * q + q * j - rho_q)
+    lowered = np.where(windings > 0, windings * q + q * j, dq)
+    return [(windings[list(ROW_GATHERS[which][0])] + step, gather(which, image * (2j * scale)))
+            for which, image, step in ((1, raised, 1), (2, lowered, -1))]
+
+
+def gathered_dirac_residual(qn, bp, energy_shift):
+    """``dirac_residual`` on the same radial form, in the same order of the five terms."""
+    en, windings, q = ps._radial_form(qn, bp, energy_shift)
+    terms = [gather(0, en * q)]
+    terms += [image for _, image in gathered_ladder_terms(windings, q, bp.coordinate_scale)]
+    terms += [gather(3, -bp.k * q), -bp.m * q]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    residual, denom = float(np.abs(total).max()), max(float(np.abs(t).max()) for t in terms)
+    return residual / denom if denom else residual
+
+
 class TestLeanArithmeticOracle:
     def test_random_spinors_in_signed_zero_fields(self):
         rng = np.random.default_rng(25)
@@ -193,6 +233,21 @@ class TestLeanArithmeticOracle:
         for qn in landau_states():
             assert ps.dirac_residual(qn, BP, energy_shift=0.1) > 1e-3, qn
             assert oracle_dirac_residual(qn, BP, 0.1) > 1e-3, qn
+
+    def test_dirac_residual_bits_against_row_gathers(self):
+        # the matrix products keep the bits of the matrices applied as row gathers
+        for bp in (BP, BeamParameters(beB=2.0, m=1.0, k=0.0)):
+            for qn in landau_states():
+                for shift in (0.0, 0.1):
+                    assert ps.dirac_residual(qn, bp, energy_shift=shift).hex() \
+                        == gathered_dirac_residual(qn, bp, shift).hex(), (qn, bp, shift)
+                _, windings, q = ps._radial_form(qn, bp)
+                for (n, image), (n_expect, image_expect) in zip(
+                        ps._ladder_terms(windings, q, bp.coordinate_scale),
+                        gathered_ladder_terms(windings, q, bp.coordinate_scale)):
+                    assert np.array_equal(image, image_expect), (qn, bp)
+                    filled = image.any(axis=1)
+                    assert np.array_equal(n[filled], n_expect[filled]), (qn, bp)
 
 
 class TestNoAliasing:

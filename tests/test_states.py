@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from diracvortex import polyspinor as ps
 from diracvortex.observables import integrated_density_quadrature
 from diracvortex.states import (FAMILIES, BeamParameters, QuantumNumbers, energy,
-                                evaluate_spinor, normalization_constant,
+                                evaluate_spinor, iter_states, normalization_constant,
                                 scalar_mode, spectrum_table)
 from polyspinor_helpers import is_scalar_multiple
 
@@ -71,6 +71,19 @@ class TestEnergy:
         ref = energy(QuantumNumbers(1, -1, 1, 2), BP).landau_sq
         for l in range(2, 6):
             assert energy(QuantumNumbers(1, -1, l, 2), BP).landau_sq == ref
+
+    def test_parts_keep_the_bits_of_the_landau_formula(self):
+        # landau_sq = beB (2p + l(1 + oam_sign) + 1) as the paper writes it, not through
+        # the interaction index; zeeman_sq = spin_sign beB; E^2 = m^2 + k^2 + both
+        for beb in (1e-10, 0.37, 1e3, 1e17):
+            bp = BeamParameters(beB=beb, m=1.0, k=0.8)
+            for qn in iter_states(12, 10):
+                landau_sq = beb * (2 * qn.p + qn.l * (1 + qn.oam_sign) + 1)
+                zeeman_sq = float(qn.spin_sign) * beb
+                total = math.sqrt(bp.m**2 + bp.k**2 + landau_sq + zeeman_sq)
+                dec = energy(qn, bp)
+                assert (dec.landau_sq.hex(), dec.zeeman_sq.hex(), dec.total.hex()) == (
+                    landau_sq.hex(), zeeman_sq.hex(), total.hex()), (qn, beb)
 
     def test_radicand_never_below_mass_shell(self):
         for qn in all_states(5, 5):
